@@ -22,7 +22,6 @@
 #include "rdf/dictionary.h"
 #include "sparql/parser.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 #include "workloads/gmark.h"
 #include "workloads/sp2bench.h"
 
@@ -69,21 +68,29 @@ datalog::Program ClosureProgram(datalog::Database* edb,
   return program;
 }
 
+/// The generic semi-naive fixpoint on the chain closure. The program is
+/// TC-shaped, so the kernel is switched off: this row times the delta
+/// rounds (one per chain hop), and BM_PathKernel_* times the kernel.
 void BM_TransitiveClosure_SemiNaive(benchmark::State& state) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   BuildChainGraph(static_cast<size_t>(state.range(0)), &dict, &dataset);
+  datalog::EvalStats stats;
   for (auto _ : state) {
     datalog::Database edb;
     datalog::Program program = ClosureProgram(&edb, dataset, &dict);
     datalog::SkolemStore skolems;
     datalog::Evaluator evaluator(&dict, &skolems);
+    evaluator.set_tc_kernel(false);
     datalog::Database idb;
     ExecContext ctx;
     auto st = evaluator.Evaluate(program, &edb, &idb, &ctx);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(idb.TotalTuples());
+    stats = evaluator.stats();
   }
+  state.counters["tc_kernels_hit"] = stats.tc_kernels_hit;
+  state.counters["rounds"] = stats.rounds;
 }
 BENCHMARK(BM_TransitiveClosure_SemiNaive)->Arg(200)->Arg(400);
 
@@ -106,157 +113,6 @@ void BM_TransitiveClosure_Naive(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitiveClosure_Naive)->Arg(200)->Arg(400);
 
-/// Sharded semi-naive fixpoint: args are (nodes, num_threads). The
-/// num_threads=1 row is the serial path for in-run comparison; on a 4+
-/// core machine the 4-thread row is the ISSUE-2 ≥2x target against it.
-void BM_TransitiveClosure_Parallel(benchmark::State& state) {
-  rdf::TermDictionary dict;
-  rdf::Dataset dataset(&dict);
-  BuildChainGraph(static_cast<size_t>(state.range(0)), &dict, &dataset);
-  for (auto _ : state) {
-    datalog::Database edb;
-    datalog::Program program = ClosureProgram(&edb, dataset, &dict);
-    datalog::SkolemStore skolems;
-    datalog::Evaluator evaluator(&dict, &skolems);
-    evaluator.set_num_threads(static_cast<uint32_t>(state.range(1)));
-    datalog::Database idb;
-    ExecContext ctx;
-    auto st = evaluator.Evaluate(program, &edb, &idb, &ctx);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    benchmark::DoNotOptimize(idb.TotalTuples());
-  }
-}
-BENCHMARK(BM_TransitiveClosure_Parallel)
-    ->Args({400, 1})
-    ->Args({400, 2})
-    ->Args({400, 4});
-
-// --- Barrier-merge microbenchmark ------------------------------------------
-// The round-barrier merge in isolation: W=4 workers' staging stores for P
-// predicates, merged into fresh relations either serially
-// (worker-then-predicate, the pre-fan-out path) or with the per-predicate
-// fan-out (MergeStagedParallel on a 4-worker pool). Arenas are
-// bit-identical either way; on a multi-core host the fan-out row should
-// beat the serial row once P > 1. The arg is P.
-
-struct BarrierMergeFixture {
-  static constexpr size_t kWorkers = 4;
-  static constexpr size_t kTuplesPerStore = 20000;
-
-  explicit BarrierMergeFixture(size_t num_preds) {
-    Rng rng(7);
-    staging.resize(num_preds);
-    for (size_t p = 0; p < num_preds; ++p) {
-      for (size_t w = 0; w < kWorkers; ++w) {
-        staging[p].emplace_back(2);
-        datalog::TupleStore& store = staging[p].back();
-        for (size_t i = 0; i < kTuplesPerStore; ++i) {
-          // ~25% of tuples overlap across workers (re-derivation mix).
-          uint64_t k = rng.Uniform(4) == 0
-                           ? i
-                           : (w + 1) * 1000003u + i;
-          datalog::Value row[2] = {k * 2654435761u % 500009, k % 977};
-          bool fresh = false;
-          store.Insert(row, &fresh);
-        }
-      }
-    }
-  }
-
-  std::vector<std::vector<datalog::TupleStore>> staging;
-};
-
-void BM_BarrierMerge_Serial(benchmark::State& state) {
-  BarrierMergeFixture fx(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::vector<std::unique_ptr<datalog::Relation>> targets;
-    uint64_t merged = 0;
-    for (size_t p = 0; p < fx.staging.size(); ++p) {
-      targets.push_back(std::make_unique<datalog::Relation>(2));
-    }
-    for (size_t w = 0; w < BarrierMergeFixture::kWorkers; ++w) {
-      for (size_t p = 0; p < fx.staging.size(); ++p) {
-        merged += targets[p]->InsertStaged(fx.staging[p][w], 1);
-      }
-    }
-    benchmark::DoNotOptimize(merged);
-  }
-  state.SetItemsProcessed(state.iterations() * fx.staging.size() *
-                          BarrierMergeFixture::kWorkers *
-                          BarrierMergeFixture::kTuplesPerStore);
-}
-BENCHMARK(BM_BarrierMerge_Serial)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_BarrierMerge_Fanout(benchmark::State& state) {
-  BarrierMergeFixture fx(static_cast<size_t>(state.range(0)));
-  ThreadPool pool(BarrierMergeFixture::kWorkers);
-  for (auto _ : state) {
-    std::vector<std::unique_ptr<datalog::Relation>> targets;
-    std::vector<datalog::StagedMergeTask> tasks;
-    for (size_t p = 0; p < fx.staging.size(); ++p) {
-      targets.push_back(std::make_unique<datalog::Relation>(2));
-      datalog::StagedMergeTask task;
-      task.target = targets[p].get();
-      for (const datalog::TupleStore& s : fx.staging[p]) {
-        task.sources.push_back(&s);
-      }
-      tasks.push_back(std::move(task));
-    }
-    ExecContext ctx;
-    uint32_t phases[BarrierMergeFixture::kWorkers] = {0, 0, 0, 0};
-    uint32_t fanout = 0;
-    auto merged =
-        datalog::MergeStagedParallel(&tasks, 1, &pool, &ctx, phases, &fanout);
-    if (!merged.ok()) {
-      state.SkipWithError(merged.status().ToString().c_str());
-      break;
-    }
-    benchmark::DoNotOptimize(*merged);
-  }
-  state.SetItemsProcessed(state.iterations() * fx.staging.size() *
-                          BarrierMergeFixture::kWorkers *
-                          BarrierMergeFixture::kTuplesPerStore);
-}
-BENCHMARK(BM_BarrierMerge_Fanout)->Arg(1)->Arg(4)->Arg(8);
-
-// --- End-to-end parallel SP2Bench row --------------------------------------
-// The workload the ISSUE-5 fan-out targets: a recursive property path
-// over the SP2Bench citation graph (dcterms:references+), engine
-// end-to-end with caches off so every iteration runs the full sharded
-// fixpoint. Args are (target_triples, num_threads); the 1-thread row is
-// the in-run serial baseline for the multi-core speedup.
-
-void BM_Sp2b_Parallel(benchmark::State& state) {
-  rdf::TermDictionary dict;
-  rdf::Dataset dataset(&dict);
-  workloads::Sp2bOptions options;
-  options.target_triples = static_cast<size_t>(state.range(0));
-  workloads::GenerateSp2b(options, &dataset);
-  core::Engine::Options engine_options;
-  engine_options.caching.program_cache = false;
-  engine_options.caching.stratum_memo = false;
-  engine_options.parallelism.num_threads = static_cast<uint32_t>(state.range(1));
-  core::Engine engine(&dataset, &dict, engine_options);
-  if (!engine.Load().ok()) {
-    state.SkipWithError("load failed");
-    return;
-  }
-  const std::string query =
-      "PREFIX dcterms: <http://purl.org/dc/terms/> "
-      "SELECT ?x ?y WHERE { ?x dcterms:references+ ?y }";
-  for (auto _ : state) {
-    auto result = engine.ExecuteText(query);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      break;
-    }
-    benchmark::DoNotOptimize(result->result.rows.size());
-  }
-}
-BENCHMARK(BM_Sp2b_Parallel)
-    ->Args({6000, 1})
-    ->Args({6000, 2})
-    ->Args({6000, 4});
 
 // --- Cost-based join planner -------------------------------------------
 
@@ -494,10 +350,6 @@ void BM_RepeatedQuery_Cold(benchmark::State& state) {
   core::Engine::Options options;
   options.caching.program_cache = false;
   options.caching.stratum_memo = false;
-  // Single-threaded: these rows are in the calibrated CI gate, where
-  // host-adaptive parallelism would be a calibration outlier (see the
-  // BM_TransitiveClosure_Parallel note in scripts/bench_compare.py).
-  options.parallelism.num_threads = 1;
   core::Engine engine(&dataset, &dict, options);
   if (!engine.Load().ok()) {
     state.SkipWithError("load failed");
@@ -520,9 +372,7 @@ void BM_RepeatedQuery_Warm(benchmark::State& state) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   BuildChainGraph(500, &dict, &dataset);
-  core::Engine::Options options;
-  options.parallelism.num_threads = 1;  // gated row: see BM_RepeatedQuery_Cold
-  core::Engine engine(&dataset, &dict, options);
+  core::Engine engine(&dataset, &dict);
   if (!engine.Load().ok()) {
     state.SkipWithError("load failed");
     return;
@@ -746,9 +596,8 @@ void ServingSetup() {
   BuildChainGraph(300, &s->dict, &s->dataset);
   core::Engine::Options options;
   // Parallelism lives at the client level here: each google-benchmark
-  // thread is one serving client, and the engine executes each query
-  // serially — the HTTP worker-pool configuration.
-  options.parallelism.num_threads = 1;
+  // thread is one serving client, and the engine executes each query on
+  // its calling thread — the HTTP worker-pool configuration.
   s->engine = std::make_unique<core::Engine>(&s->dataset, &s->dict, options);
   if (!s->engine->Load().ok()) std::abort();
   s->hot = {
@@ -854,7 +703,6 @@ void BM_Serving_Overload(benchmark::State& state) {
     auto* s = new ServingBenchState();
     BuildChainGraph(300, &s->dict, &s->dataset);
     core::Engine::Options options;
-    options.parallelism.num_threads = 1;
     // Admission capacity tracks the machine: admitted queries run
     // concurrently, so admitting more than ~half the cores makes the
     // admitted-latency counter measure CPU time-slicing instead of
@@ -1037,10 +885,7 @@ void BM_Update_MixedServing(benchmark::State& state) {
   if (state.thread_index() == 0) {
     auto* s = new UpdateServingState();
     BuildChainGraph(300, &s->dict, &s->dataset);
-    core::Engine::Options options;
-    options.parallelism.num_threads = 1;
-    s->engine =
-        std::make_unique<core::Engine>(&s->dataset, &s->dict, options);
+    s->engine = std::make_unique<core::Engine>(&s->dataset, &s->dict);
     if (!s->engine->Load().ok()) std::abort();
     s->toggled = {s->dict.InternIri("http://u.org/writer"),
                   s->dict.InternIri("http://b.org/p"),

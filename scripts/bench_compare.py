@@ -2,8 +2,8 @@
 """Perf-trajectory gate: diff a fresh BENCH_micro_datalog.json against the
 committed bench/baseline.json and fail CI on wall-time regressions in the
 gated benchmark families (BM_TupleStore*, BM_TransitiveClosure*,
-BM_RepeatedQuery*, BM_BulkLoad*, BM_BarrierMerge*, BM_Sp2b_Parallel,
-BM_JoinPlanner*, BM_Serving*, BM_PathKernel*).
+BM_RepeatedQuery*, BM_BulkLoad*, BM_JoinPlanner*, BM_Serving*,
+BM_PathKernel*, BM_Update*).
 Both sides are reduced to the per-benchmark median of their recorded
 repetitions before comparing.
 
@@ -31,22 +31,18 @@ import statistics
 import sys
 
 DEFAULT_BASELINE = "bench/baseline.json"
-# The gate now includes the parallel rows (BM_TransitiveClosure_Parallel,
-# BM_BarrierMerge, BM_Sp2b_Parallel) and the PR 7 serving rows
-# (BM_Serving_* at 1/2/8 client threads over one shared engine). The
-# committed baseline's
-# multi-thread rows were captured on a 1-CPU host, so on a multi-core
-# runner those rows come out *faster* relative to the rest of the suite —
-# a low-side calibration outlier, which can never trip the high-side
-# threshold; the median across ~30 gated rows absorbs it. What the gate
-# buys today is (a) coverage loss detection (a parallel row vanishing
-# from the bench binary fails CI) and (b) regression detection for the
-# serial-comparable rows. Re-capturing the baseline on the multi-core CI
-# runner tightens (b) for the multi-thread rows too.
+# The gate includes the serving rows (BM_Serving_* at 1/2/8 client
+# threads over one shared engine). The committed baseline's multi-thread
+# serving rows were captured on a 1-CPU host, so on a multi-core runner
+# they come out *faster* relative to the rest of the suite — a low-side
+# calibration outlier, which can never trip the high-side threshold; the
+# median across ~30 gated rows absorbs it. What the gate buys for them
+# today is coverage loss detection (a row vanishing from the bench binary
+# fails CI); re-capturing the baseline on a multi-core host adds
+# regression detection.
 GATE_PATTERN = (
     r"^(BM_TupleStore|BM_TransitiveClosure|BM_RepeatedQuery"
-    r"|BM_BulkLoad|BM_BarrierMerge|BM_Sp2b_Parallel|BM_JoinPlanner"
-    r"|BM_Serving|BM_PathKernel|BM_Update)"
+    r"|BM_BulkLoad|BM_JoinPlanner|BM_Serving|BM_PathKernel|BM_Update)"
 )
 
 

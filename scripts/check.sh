@@ -10,8 +10,8 @@
 #                       it with scripts/bench_compare.py). Propagated
 #                       as-is from the CI workflow env.
 #   TEST_TIMEOUT=<sec>  per-test ctest timeout (default 300) so a
-#                       livelocked parallel fixpoint fails fast instead
-#                       of hanging the runner.
+#                       livelocked fixpoint or hung server fails fast
+#                       instead of hanging the runner.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,7 +52,7 @@ if [[ "${BENCH_JSON:-0}" == "1" ]]; then
   # benchmark: bench_compare.py gates on the median, which cuts
   # hosted-runner noise.
   "$BUILD_DIR/micro_datalog" \
-    --benchmark_filter='BM_TupleStore|BM_TransitiveClosure|BM_RepeatedQuery|BM_BulkLoad|BM_BarrierMerge|BM_Sp2b_Parallel|BM_JoinPlanner|BM_Serving|BM_PathKernel|BM_Update' \
+    --benchmark_filter='BM_TupleStore|BM_TransitiveClosure|BM_RepeatedQuery|BM_BulkLoad|BM_JoinPlanner|BM_Serving|BM_PathKernel|BM_Update' \
     --benchmark_repetitions=3 \
     --benchmark_out="$BUILD_DIR/BENCH_micro_datalog.json" \
     --benchmark_out_format=json \

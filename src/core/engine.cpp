@@ -22,22 +22,12 @@ SPARQLOG_FAILPOINT_DEFINE(g_fp_update_translate, "engine.update.translate");
 SPARQLOG_FAILPOINT_DEFINE(g_fp_update_stage, "engine.update.stage");
 SPARQLOG_FAILPOINT_DEFINE(g_fp_update_publish, "engine.update.publish");
 
-/// CPU seconds consumed by the calling thread (fixpoint workers run on
-/// their own threads and are not included — that asymmetry is what lets a
-/// server compare compute against wall time per query).
+/// CPU seconds consumed by the calling thread, which runs the whole
+/// query; a server compares it against wall time per query.
 double ThreadCpuSeconds() {
   timespec ts{};
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0.0;
   return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
-}
-
-/// Lock-free running maximum.
-void AtomicMax(std::atomic<uint64_t>* target, uint64_t value) {
-  uint64_t cur = target->load(std::memory_order_relaxed);
-  while (cur < value &&
-         !target->compare_exchange_weak(cur, value,
-                                        std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace
@@ -765,9 +755,6 @@ Result<Engine::Execution> Engine::ExecuteInternal(
 
   datalog::Database idb;
   datalog::Evaluator evaluator(dict_, &skolems_);
-  evaluator.set_num_threads(options_.parallelism.num_threads);
-  evaluator.set_parallel_merge(options_.parallelism.parallel_merge);
-  evaluator.set_parallel_naive(options_.parallelism.parallel_naive);
   evaluator.set_tc_kernel(options_.fixpoint.tc_kernel);
   // Degraded mode bypasses the stratum memo entirely: no lookups (the
   // memo was just shed) and — more importantly — no new snapshots taken
@@ -799,13 +786,6 @@ Result<Engine::Execution> Engine::ExecuteInternal(
   counters_.tuples_restored.fetch_add(es.tuples_restored,
                                       std::memory_order_relaxed);
   counters_.rounds.fetch_add(es.rounds, std::memory_order_relaxed);
-  counters_.parallel_rounds.fetch_add(es.parallel_rounds,
-                                      std::memory_order_relaxed);
-  counters_.naive_rounds_sharded.fetch_add(es.naive_rounds_sharded,
-                                           std::memory_order_relaxed);
-  counters_.staged_tuples_merged.fetch_add(es.staged_merged,
-                                           std::memory_order_relaxed);
-  AtomicMax(&counters_.merge_fanout_width, es.merge_fanout_width);
   counters_.tc_kernels_hit.fetch_add(es.tc_kernels_hit,
                                      std::memory_order_relaxed);
   counters_.tc_dense_frontiers.fetch_add(es.tc_dense_frontiers,
@@ -888,10 +868,6 @@ Engine::EngineStats Engine::stats() const {
   s.plans_computed = ld(counters_.plans_computed);
   s.plan_cache_hits = ld(counters_.plan_cache_hits);
   s.rounds = ld(counters_.rounds);
-  s.parallel_rounds = ld(counters_.parallel_rounds);
-  s.naive_rounds_sharded = ld(counters_.naive_rounds_sharded);
-  s.staged_tuples_merged = ld(counters_.staged_tuples_merged);
-  s.merge_fanout_width = ld(counters_.merge_fanout_width);
   s.tc_kernels_hit = ld(counters_.tc_kernels_hit);
   s.tc_dense_frontiers = ld(counters_.tc_dense_frontiers);
   s.tc_sparse_frontiers = ld(counters_.tc_sparse_frontiers);

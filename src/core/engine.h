@@ -69,19 +69,11 @@ class Engine {
     /// differential tests compare against. Bit-identical EDBs either way.
     EdbBuild edb_build = EdbBuild::kBulkLoad;
 
-    /// Fixpoint parallelism knobs (datalog/evaluator.h).
     struct Parallelism {
-      /// Worker threads for the Datalog fixpoint's recursive strata.
-      /// 0 (default) resolves to std::thread::hardware_concurrency();
-      /// 1 runs the exact single-threaded semi-naive path. Thread count
-      /// never changes query results, only evaluation parallelism.
+      /// Ignored: every query's fixpoint runs on its calling thread, and
+      /// a server gets its concurrency from concurrent Execute calls.
+      /// Kept only so existing benchmark drivers still compile.
       uint32_t num_threads = 0;
-      /// Fans the parallel round-barrier merge out per target predicate
-      /// (bit-identical to the serial merge). Off = serial merge.
-      bool parallel_merge = true;
-      /// Shards the initial naive pass of recursive strata like the
-      /// delta rounds. Off = the serial initial pass.
-      bool parallel_naive = true;
     };
 
     /// Cross-query caching knobs (core/program_cache.h,
@@ -213,8 +205,8 @@ class Engine {
   /// value inside `Execution` — concurrent queries never share stats
   /// state, and nothing mutates the engine to report it.
   struct QueryStats {
-    /// Fixpoint counters for this evaluation (rounds, parallel rounds,
-    /// staged merges, memo hits/misses, tuples restored, ...).
+    /// Fixpoint counters for this evaluation (rounds, memo hits/misses,
+    /// tuples restored, TC-kernel strata, ...).
     datalog::EvalStats fixpoint;
     ProgramSource program_source = ProgramSource::kUncached;
     /// True when the cost-based planner ordered this query's rule
@@ -227,9 +219,9 @@ class Engine {
     /// End-to-end wall time of the Execute call (translation + fixpoint
     /// + solution translation).
     double wall_seconds = 0.0;
-    /// CPU time of the calling thread for the same span (fixpoint worker
-    /// threads are not included; compare with wall_seconds to spot
-    /// queueing vs compute).
+    /// CPU time of the calling thread for the same span. The whole
+    /// fixpoint runs on that thread, so this covers all of the query's
+    /// compute; compare with wall_seconds to spot waiting vs compute.
     double cpu_seconds = 0.0;
   };
 
@@ -267,13 +259,8 @@ class Engine {
     // Join planner.
     uint64_t plans_computed = 0;
     uint64_t plan_cache_hits = 0;
-    // Fixpoint parallelism (summed across queries; fan-out width is the
-    // maximum any single round reached).
+    // Fixpoint rounds, summed across queries.
     uint64_t rounds = 0;
-    uint64_t parallel_rounds = 0;
-    uint64_t naive_rounds_sharded = 0;
-    uint64_t staged_tuples_merged = 0;
-    uint64_t merge_fanout_width = 0;
     // Transitive-closure kernel (datalog/tc_kernel.h; summed across
     // queries — one "hit" is one TC-shaped stratum run by the kernel).
     uint64_t tc_kernels_hit = 0;
@@ -402,10 +389,6 @@ class Engine {
     std::atomic<uint64_t> plans_computed{0};
     std::atomic<uint64_t> plan_cache_hits{0};
     std::atomic<uint64_t> rounds{0};
-    std::atomic<uint64_t> parallel_rounds{0};
-    std::atomic<uint64_t> naive_rounds_sharded{0};
-    std::atomic<uint64_t> staged_tuples_merged{0};
-    std::atomic<uint64_t> merge_fanout_width{0};  // running maximum
     std::atomic<uint64_t> tc_kernels_hit{0};
     std::atomic<uint64_t> tc_dense_frontiers{0};
     std::atomic<uint64_t> tc_sparse_frontiers{0};

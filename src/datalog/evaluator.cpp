@@ -1,14 +1,11 @@
 #include "datalog/evaluator.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "datalog/stride.h"
 #include "datalog/tc_kernel.h"
 #include "util/failpoint.h"
-#include "util/thread_pool.h"
 
 namespace sparqlog::datalog {
 
@@ -17,18 +14,6 @@ namespace {
 SPARQLOG_FAILPOINT_DEFINE(g_fp_stratum_begin, "datalog.stratum.begin");
 
 constexpr uint32_t kNoDelta = 0xffffffffu;
-
-/// Per-worker round state: one staging TupleStore per parallel head
-/// predicate (deduped locally, merged into the Relation at the barrier)
-/// plus worker-local counters so the shared EvalStats is only touched
-/// serially.
-struct WorkerState {
-  std::unordered_map<PredicateId, TupleStore> staging;
-  uint64_t fired = 0;
-  uint64_t staged = 0;
-  uint32_t clock_phase = 0;
-  Status status;
-};
 
 }  // namespace
 
@@ -44,30 +29,15 @@ struct Evaluator::RuleRun {
   uint32_t insert_round = 0;
   uint32_t delta_round = 0;
   uint32_t delta_atom = kNoDelta;
-  // Sharded parallel execution (staging != nullptr): the scan of
-  // `delta_atom` is pinned to rows [shard_lo, shard_hi) of `scan_rel` —
-  // the IDB delta for fixpoint rounds, either source of the pivot atom
-  // for the sharded initial naive pass — heads are staged into the
-  // worker's TupleStore instead of inserted, and `staging_target` (the
-  // read-only target relation) pre-filters re-derivations. `staged`
-  // counts fresh staged tuples across all of the worker's shards for
-  // budget checks.
-  uint32_t shard_lo = 0;
-  uint32_t shard_hi = 0xffffffffu;
-  const Relation* scan_rel = nullptr;
-  TupleStore* staging = nullptr;
-  const Relation* staging_target = nullptr;
-  uint64_t* staged = nullptr;
-  uint32_t clock_phase = 0;  // worker-local deadline-check pacing
-  // Incremental maintenance (serial paths only; see the incremental
-  // stratum block in Evaluate): `delta_source` redirects the pinned
-  // delta scan away from the IDB (to a scratch database of input
-  // deltas), `aux` joins as a third non-delta source on top of EDB+IDB
-  // (the over-delete pass over-approximates the pre-update state with
-  // current ∪ deleted), `emit_db` redirects head emission (over-deleted
-  // heads accumulate in the scratch database, not the IDB), and
-  // `head_binding` pre-binds the head tuple (DRed re-derivation asks
-  // "is exactly this tuple still derivable?").
+  // Incremental maintenance (see the incremental stratum block in
+  // Evaluate): `delta_source` redirects the pinned delta scan away from
+  // the IDB (to a scratch database of input deltas), `aux` joins as a
+  // third non-delta source on top of EDB+IDB (the over-delete pass
+  // over-approximates the pre-update state with current ∪ deleted),
+  // `emit_db` redirects head emission (over-deleted heads accumulate in
+  // the scratch database, not the IDB), and `head_binding` pre-binds the
+  // head tuple (DRed re-derivation asks "is exactly this tuple still
+  // derivable?").
   Database* delta_source = nullptr;
   Database* aux = nullptr;
   Database* emit_db = nullptr;
@@ -310,53 +280,25 @@ struct Evaluator::RuleRun {
       head_scratch.push_back(v);
     }
     ++fired;
-    if (staging != nullptr) {
-      // Parallel worker: stage instead of inserting. The target relation
-      // is read-only until the round barrier, so Contains needs no
-      // synchronization; local dedup keeps the merge small. The budget
-      // check counts only this worker's fresh tuples on top of the shared
-      // total (cross-worker duplicates may overcount slightly — mem-out
-      // stays approximate, never under-enforced at the barrier).
-      if (!staging_target->Contains(head_scratch)) {
-        bool fresh = false;
-        staging->Insert(head_scratch.data(), &fresh);
-        if (fresh) {
-          ++*staged;
-          if (ctx->tuples_used() + *staged > ctx->tuple_budget()) {
-            status =
-                Status::ResourceExhausted("tuple budget exceeded (mem-out)");
-            return false;
-          }
-        }
-      }
-    } else {
-      Relation& rel =
-          (emit_db != nullptr ? emit_db : idb)
-              ->relation(rule->head.predicate,
-                         static_cast<uint32_t>(rule->head.args.size()));
-      if (rel.Insert(head_scratch, insert_round)) {
-        ++inserted;
-        ctx->AddTuples(1);
-      }
-      if (head_binding != nullptr) {
-        // DRed re-derivation asks for one witness of the pre-bound head
-        // tuple; it exists now, so abort the join early. The false
-        // return unwinds the search with an OK status.
-        status = ctx->CheckBudgetShared(&clock_phase);
-        return false;
-      }
+    Relation& rel =
+        (emit_db != nullptr ? emit_db : idb)
+            ->relation(rule->head.predicate,
+                       static_cast<uint32_t>(rule->head.args.size()));
+    if (rel.Insert(head_scratch, insert_round)) {
+      ++inserted;
+      ctx->AddTuples(1);
     }
-    status = ctx->CheckBudgetShared(&clock_phase);
-    return status.ok();
+    status = ctx->CheckBudget();
+    // DRed re-derivation asks for one witness of the pre-bound head
+    // tuple; it exists now, so abort the join early. The false return
+    // unwinds the search with an OK status.
+    return status.ok() && head_binding == nullptr;
   }
 
   bool TryRow(const Relation* rel, uint32_t row_id, size_t depth) {
     // RowRef is a view into the relation's arena; it is consumed fully
     // before JoinStep below can insert (and potentially reallocate).
-    return TryRowAt(rel->row(row_id), depth);
-  }
-
-  bool TryRowAt(RowRef row, size_t depth) {
+    RowRef row = rel->row(row_id);
     const Atom& atom = rule->positive[order[depth]];
     size_t trail_start = trail.size();
     bool ok = true;
@@ -386,7 +328,7 @@ struct Evaluator::RuleRun {
 
   /// Returns false on fatal error.
   bool JoinStep(size_t depth) {
-    status = ctx->CheckBudgetShared(&clock_phase);
+    status = ctx->CheckBudget();
     if (!status.ok()) return false;
 
     size_t btrail_start = trail.size();
@@ -424,29 +366,8 @@ struct Evaluator::RuleRun {
     }
 
     if (is_delta) {
-      if (staging != nullptr) {
-        // Parallel shard: the task pinned the relation and row range
-        // (the IDB delta for fixpoint rounds, one EDB/IDB source of the
-        // pivot atom for the sharded naive pass). Every relation is
-        // frozen until the round barrier, so the arena cannot
-        // reallocate mid-scan — walk the shard pointer-stepped with a
-        // compile-time stride for the hot arity <= 4 case instead of
-        // recomputing base + id * arity per row.
-        if (shard_lo >= shard_hi) return true;
-        const uint32_t k = scan_rel->arity();
-        const Value* base = scan_rel->row(shard_lo).data();
-        return WithStride(k, [&](auto stride) {
-          const Value* p = base;
-          for (uint32_t id = shard_lo; id < shard_hi;
-               ++id, p += stride.arity()) {
-            if (!TryRowAt(RowRef(p, k), depth)) return false;
-          }
-          return true;
-        });
-      }
-      // Serial path: id-based fetch, not pointer-stepped — a recursive
-      // rule may insert into the very relation it is scanning, growing
-      // the arena.
+      // Id-based fetch, not pointer-stepped: a recursive rule may insert
+      // into the very relation it is scanning, growing the arena.
       Relation* rel =
           (delta_source != nullptr ? delta_source : idb)
               ->FindMutable(atom.predicate);
@@ -464,30 +385,16 @@ struct Evaluator::RuleRun {
                                            : nullptr};
     for (Relation* rel : sources) {
       if (rel == nullptr || rel->size() == 0) continue;
-      bool indexed = false;
       if (!cols.empty()) {
         // MatchSpan is epoch-stable: recursive rules may insert into this
         // relation (and its index buckets) while we iterate, and the span
         // keeps addressing the probe-time prefix without a defensive
-        // copy. Parallel workers use the thread-safe TryProbe (relations
-        // are read-only until the barrier, but a missing index must be
-        // built and published race-free); it only fails past the
-        // published-index capacity, where the filtered scan below is the
-        // fallback.
-        MatchSpan span;
-        if (staging != nullptr) {
-          indexed = rel->TryProbe(cols, key, &span);
-        } else {
-          span = rel->Probe(cols, key);
-          indexed = true;
+        // copy.
+        MatchSpan span = rel->Probe(cols, key);
+        for (uint32_t k = 0; k < span.size(); ++k) {
+          if (!TryRow(rel, span[k], depth)) return false;
         }
-        if (indexed) {
-          for (uint32_t k = 0; k < span.size(); ++k) {
-            if (!TryRow(rel, span[k], depth)) return false;
-          }
-        }
-      }
-      if (!indexed) {
+      } else {
         size_t n = rel->size();  // snapshot; new rows belong to next round
         for (uint32_t id = 0; id < n; ++id) {
           if (!TryRow(rel, id, depth)) return false;
@@ -571,13 +478,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
   std::unordered_map<PredicateId, EdbDelta::PredicateDelta> idb_delta;
   std::unordered_set<PredicateId> idb_unknown;
 
-  uint32_t threads = num_threads_;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  // Naive mode exists as the single-threaded reference semantics for the
-  // differential tests and ablations; it never shards.
-  const bool parallel_ok = threads > 1 && mode_ == FixpointMode::kSemiNaive;
-
   // Seed program facts (round 0).
   for (const Fact& f : program.facts) {
     Relation& rel = idb->relation(
@@ -587,7 +487,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
   SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
 
   uint32_t round = 1;
-  uint32_t serial_clock_phase = 0;  // spans all serial rule runs
   for (uint32_t s = 0; s < strat.num_strata; ++s) {
     const std::vector<uint32_t>& rule_ids = strat.strata_rules[s];
     if (rule_ids.empty()) continue;
@@ -717,12 +616,9 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     // round (the fixpoint loop below finishes the closure); deletions run
     // DRed first — over-delete to a fixpoint against current ∪ deleted
     // (a sound over-approximation of the pre-update state), physically
-    // remove, then re-derive survivors head-by-head. Serial by design:
-    // delta volumes are bounded by contract (`max_overdelete` trips the
-    // full-recompute fallback), so sharding would only add barriers. This
-    // runs before the shard scaffolding is built because the fallback
-    // Resets head relations, which would dangle the merge plan's
-    // Relation pointers.
+    // remove, then re-derive survivors head-by-head. Delta volumes are
+    // bounded by contract: `max_overdelete` trips the full-recompute
+    // fallback.
     bool inc_handled = false;
     uint64_t inc_new = 0;
     auto attempt_incremental = [&]() -> Status {
@@ -873,9 +769,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               run.delta_source = &aux_del;
               run.aux = &aux_del;
               run.emit_db = &aux_del;
-              run.clock_phase = serial_clock_phase;
               Status st = run.Run();
-              serial_clock_phase = run.clock_phase;
               stats_.rules_fired += run.fired;
               SPARQLOG_RETURN_NOT_OK(st);
               if (run.inserted > 0) progress = true;
@@ -954,9 +848,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               run.ctx = ctx;
               run.insert_round = derive_round;
               run.head_binding = dt.row.data();
-              run.clock_phase = serial_clock_phase;
               Status st = run.Run();
-              serial_clock_phase = run.clock_phase;
               stats_.rules_fired += run.fired;
               SPARQLOG_RETURN_NOT_OK(st);
               if (run.inserted > 0) {
@@ -997,9 +889,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
           run.delta_round = 0;
           run.delta_atom = ai;
           run.delta_source = &aux_ins;
-          run.clock_phase = serial_clock_phase;
           Status st = run.Run();
-          serial_clock_phase = run.clock_phase;
           stats_.rules_fired += run.fired;
           SPARQLOG_RETURN_NOT_OK(st);
           inc_new += run.inserted;
@@ -1026,12 +916,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       run.insert_round = round;
       run.delta_round = delta_round;
       run.delta_atom = delta_atom;
-      // The clock-stride phase persists across invocations (like the
-      // pre-parallelism ctx-owned counter): many short rule runs must
-      // still reach the every-256th-check deadline sample.
-      run.clock_phase = serial_clock_phase;
       Status st = run.Run();
-      serial_clock_phase = run.clock_phase;
       stats_.rules_fired += run.fired;
       stats_.tuples_derived += run.inserted;
       SPARQLOG_RETURN_NOT_OK(st);
@@ -1039,213 +924,16 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     };
 
     const bool recursive = strat.stratum_recursive[s];
-    // Sharded evaluation of this stratum. Interning (TermDictionary,
-    // SkolemStore) is thread-safe, so *every* rule shards — there is no
-    // serial-eligibility split any more: a recursive stratum fans out
-    // its initial naive pass and every delta round.
-    const bool shard_stratum = parallel_ok && recursive;
 
-    std::vector<WorkerState> workers;
-    std::vector<uint32_t> merge_phases;      // per merge worker, persists
-    std::vector<PredicateId> par_heads;      // sorted, deterministic merge
-    std::vector<StagedMergeTask> merge_tasks;  // one per head predicate
-    if (shard_stratum) {
-      if (pool_ == nullptr || pool_->num_workers() != threads) {
-        pool_ = std::make_unique<ThreadPool>(threads);
-      }
-      // Pre-create every head relation this stratum derives into (so
-      // workers never mutate the Database map; empty relations are
-      // invisible to dumps and solutions) and per-worker staging stores.
-      workers.resize(threads);
-      merge_phases.assign(threads, 0);
-      for (uint32_t ri : rule_ids) {
-        const Atom& head = program.rules[ri].head;
-        uint32_t arity = static_cast<uint32_t>(head.args.size());
-        idb->relation(head.predicate, arity);
-        for (WorkerState& ws : workers) {
-          ws.staging.try_emplace(head.predicate, arity);
-        }
-        par_heads.push_back(head.predicate);
-      }
-      std::sort(par_heads.begin(), par_heads.end());
-      par_heads.erase(std::unique(par_heads.begin(), par_heads.end()),
-                      par_heads.end());
-      // Merge fan-out plan: one task per head predicate, sources in
-      // worker order. Relation and staging-store addresses are stable
-      // for the stratum, so the plan is built once.
-      for (PredicateId pred : par_heads) {
-        StagedMergeTask task;
-        task.target = idb->FindMutable(pred);
-        for (WorkerState& ws : workers) {
-          task.sources.push_back(&ws.staging.at(pred));
-        }
-        merge_tasks.push_back(std::move(task));
-      }
-    }
-
-    // One sharded scan over `tasks` (each task pins a rule, its scan
-    // atom, and a frozen relation row range), then the round-barrier
-    // merge — per-predicate fan-out by default, the serial
-    // worker-then-predicate loop as reference. Merge order within each
-    // predicate is worker order either way, so a relation's arena is
-    // bit-identical across merge modes and deterministic for a fixed
-    // thread count; across thread counts only arena row ids change,
-    // never set semantics.
-    struct ScanTask {
-      uint32_t rule;
-      uint32_t atom;
-      const Relation* rel;
-      uint32_t lo;
-      uint32_t hi;
-    };
-    auto run_parallel_round =
-        [&](const std::vector<ScanTask>& tasks) -> Result<uint64_t> {
-      if (tasks.empty()) return uint64_t{0};
-      const uint32_t num_workers =
-          static_cast<uint32_t>(pool_->num_workers());
-      for (WorkerState& ws : workers) {
-        ws.fired = 0;
-        ws.staged = 0;
-        ws.status = Status::OK();
-        for (auto& [pred, store] : ws.staging) store.Clear();
-      }
-      pool_->RunOnWorkers([&](size_t w) {
-        WorkerState& ws = workers[w];
-        for (const ScanTask& tr : tasks) {
-          const Rule& rule = program.rules[tr.rule];
-          // Block-cyclic sharding of the scan range: contiguous blocks
-          // dealt round-robin across workers, so skewed per-row join
-          // costs still balance without a work queue.
-          uint32_t range = tr.hi - tr.lo;
-          uint32_t block = std::max(1u, range / (num_workers * 4));
-          uint32_t num_blocks = (range + block - 1) / block;
-          // One RuleRun per (worker, task): Run() resets the join state
-          // in place, so the per-block loop only moves the shard window
-          // and reuses the scratch vectors' capacity.
-          RuleRun run;
-          run.eval = this;
-          run.rule = &rule;
-          run.edb = edb;
-          run.idb = idb;
-          run.ctx = ctx;
-          run.insert_round = round;
-          run.delta_atom = tr.atom;
-          run.scan_rel = tr.rel;
-          run.staging = &ws.staging.at(rule.head.predicate);
-          run.staging_target = idb->Find(rule.head.predicate);
-          run.staged = &ws.staged;
-          run.clock_phase = ws.clock_phase;
-          for (uint32_t b = static_cast<uint32_t>(w); b < num_blocks;
-               b += num_workers) {
-            run.shard_lo = tr.lo + b * block;
-            run.shard_hi = std::min(tr.hi, run.shard_lo + block);
-            Status st = run.Run();
-            ws.fired += run.fired;
-            run.fired = 0;
-            if (!st.ok()) {
-              ws.status = st;
-              ws.clock_phase = run.clock_phase;
-              return;
-            }
-          }
-          ws.clock_phase = run.clock_phase;
-        }
-      });
-      for (WorkerState& ws : workers) {
-        stats_.rules_fired += ws.fired;
-        SPARQLOG_RETURN_NOT_OK(ws.status);
-      }
-
-      // Round barrier: merge the staging buffers into the target
-      // relations.
-      uint64_t merged = 0;
-      if (parallel_merge_) {
-        uint32_t fanout = 0;
-        SPARQLOG_ASSIGN_OR_RETURN(
-            merged, MergeStagedParallel(&merge_tasks, round, pool_.get(),
-                                        ctx, merge_phases.data(), &fanout));
-        stats_.merge_fanout_width =
-            std::max(stats_.merge_fanout_width, fanout);
-      } else {
-        // Serial reference merge, single-writer in worker-then-predicate
-        // order (the BM_BarrierMerge baseline).
-        for (WorkerState& ws : workers) {
-          for (PredicateId pred : par_heads) {
-            TupleStore& store = ws.staging.at(pred);
-            if (store.size() == 0) continue;
-            merged += idb->FindMutable(pred)->InsertStaged(store, round);
-          }
-        }
-        ctx->AddTuples(merged);
-      }
-      stats_.tuples_derived += merged;
-      stats_.staged_merged += merged;
-      SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
-      ++stats_.parallel_rounds;
-      return merged;
-    };
-
-    // Initial (naive) pass over the current database state. Serial by
-    // default: rules of the same stratum see each other's same-pass
-    // insertions here, which the single-pass completeness of
-    // non-recursive strata relies on. Recursive strata don't need that
-    // visibility — the fixpoint rounds below deliver any derivation the
-    // no-visibility pass misses — so the sharded path fans the initial
-    // pass out too, pivoting each rule on one positive atom: sharding
-    // any single atom over its full row range partitions the rule's
-    // output, and the EDB/IDB source split of the pivot predicate
-    // partitions its rows.
+    // Initial (naive) pass over the current database state. Rules of the
+    // same stratum see each other's same-pass insertions here, which the
+    // single-pass completeness of non-recursive strata relies on.
     uint64_t new_tuples = 0;
     if (inc_handled) {
       // Incremental path already restored + re-derived this stratum; its
       // fresh tuples sit at the previous round, which the fixpoint loop
       // below picks up as its first delta.
       new_tuples = inc_new;
-    } else if (shard_stratum && parallel_naive_) {
-      std::vector<ScanTask> tasks;
-      for (uint32_t ri : rule_ids) {
-        if (tc && ri == tc->rule_index) continue;  // kernel handles it
-        const Rule& rule = program.rules[ri];
-        if (rule.positive.empty()) {
-          // Nothing to shard on (builtins-only body); run serially
-          // before the region, so the frozen scans below see it.
-          SPARQLOG_ASSIGN_OR_RETURN(uint64_t n, run_rule(ri, kNoDelta, 0));
-          new_tuples += n;
-          continue;
-        }
-        // Pivot choice: planned rules scan their planned first atom (the
-        // most selective one — the sharded scan then mirrors the serial
-        // planned join exactly); unplanned rules pivot on the largest
-        // relation, the most rows to deal out.
-        uint32_t pivot = 0;
-        if (!rule.planned) {
-          size_t best = 0;
-          for (uint32_t ai = 0;
-               ai < static_cast<uint32_t>(rule.positive.size()); ++ai) {
-            size_t sz = 0;
-            PredicateId p = rule.positive[ai].predicate;
-            if (const Relation* r = edb->Find(p)) sz += r->size();
-            if (const Relation* r = idb->Find(p)) sz += r->size();
-            if (ai == 0 || sz > best) {
-              pivot = ai;
-              best = sz;
-            }
-          }
-        }
-        PredicateId p = rule.positive[pivot].predicate;
-        for (const Database* db :
-             {static_cast<const Database*>(edb),
-              static_cast<const Database*>(idb)}) {
-          const Relation* r = db->Find(p);
-          if (r != nullptr && r->size() > 0) {
-            tasks.push_back(
-                {ri, pivot, r, 0, static_cast<uint32_t>(r->size())});
-          }
-        }
-      }
-      if (!tasks.empty()) ++stats_.naive_rounds_sharded;
-      SPARQLOG_ASSIGN_OR_RETURN(uint64_t n, run_parallel_round(tasks));
-      new_tuples += n;
     } else {
       for (uint32_t ri : rule_ids) {
         if (tc && ri == tc->rule_index) continue;  // kernel handles it
@@ -1287,9 +975,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       // only (the delta side), with no per-round rescans or merges.
       SPARQLOG_ASSIGN_OR_RETURN(
           TcKernelStats kstats,
-          RunTcKernel(*tc, program, edb, idb, round, ctx,
-                      &serial_clock_phase,
-                      shard_stratum ? pool_.get() : nullptr));
+          RunTcKernel(*tc, program, edb, idb, round, ctx));
       ++stats_.tc_kernels_hit;
       if (kstats.dense) {
         ++stats_.tc_dense_frontiers;
@@ -1308,12 +994,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     }
 
     // Delta tasks for the fixpoint rounds: every (rule, stratum-head
-    // atom) pair. Staging delays same-round visibility (a worker's
-    // derivations surface at the barrier, not mid-round), which is sound
-    // here: within a stratum the rules are monotone — negation is
-    // stratified strictly below — so any fair round order reaches the
-    // same fixpoint, and the `new_tuples` loop keeps iterating until no
-    // round adds anything.
+    // atom) pair.
     struct DeltaTask {
       uint32_t rule;
       uint32_t atom;
@@ -1335,20 +1016,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
           SPARQLOG_ASSIGN_OR_RETURN(uint64_t n, run_rule(ri, kNoDelta, 0));
           new_tuples += n;
         }
-      } else if (shard_stratum) {
-        // Snapshot each task's delta row range before workers start; the
-        // ranges (and all relation contents) are frozen for the round.
-        uint32_t delta_round = round - 1;
-        std::vector<ScanTask> tasks;
-        for (const DeltaTask& t : delta_tasks) {
-          const Atom& datom = program.rules[t.rule].positive[t.atom];
-          const Relation* rel = idb->Find(datom.predicate);
-          if (rel == nullptr) continue;
-          auto [lo, hi] = rel->RoundRange(delta_round);
-          if (lo < hi) tasks.push_back({t.rule, t.atom, rel, lo, hi});
-        }
-        SPARQLOG_ASSIGN_OR_RETURN(uint64_t n, run_parallel_round(tasks));
-        new_tuples += n;
       } else {
         uint32_t delta_round = round - 1;
         for (const DeltaTask& t : delta_tasks) {

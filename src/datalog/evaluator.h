@@ -11,7 +11,6 @@
 #include "eval/expr_eval.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 /// \file evaluator.h
 /// Bottom-up evaluation of Datalog± programs: stratum-by-stratum
@@ -31,15 +30,13 @@ struct EvalStats {
   uint64_t rules_fired = 0;       ///< successful head insertions
   uint64_t tuples_derived = 0;    ///< distinct tuples added
   uint32_t rounds = 0;            ///< total semi-naive rounds
-  uint32_t parallel_rounds = 0;   ///< rounds that ran a sharded fan-out
+  /// Always 0: every round runs serially on the calling thread. Kept so
+  /// existing benchmark reports that read it still compile.
+  uint32_t parallel_rounds = 0;
   uint32_t strata = 0;
   uint32_t strata_memo_hits = 0;    ///< strata restored from the memo
   uint32_t strata_memo_misses = 0;  ///< fingerprinted strata evaluated
   uint64_t tuples_restored = 0;     ///< tuples re-inserted from snapshots
-  // Parallel-fixpoint observability (see Engine::stats()).
-  uint32_t naive_rounds_sharded = 0;  ///< initial naive passes run sharded
-  uint64_t staged_merged = 0;         ///< tuples inserted by barrier merges
-  uint32_t merge_fanout_width = 0;    ///< max merge workers in any round
   uint64_t interning_contention = 0;  ///< dict+Skolem lock contention delta
   // Transitive-closure kernel observability (see tc_kernel.h).
   uint32_t tc_kernels_hit = 0;        ///< TC-shaped strata run by the kernel
@@ -65,26 +62,12 @@ class Evaluator {
 
   void set_mode(FixpointMode mode) { mode_ = mode; }
 
-  /// Worker count for recursive strata. 1 (the default) runs the exact
-  /// single-threaded semi-naive path; 0 resolves to
-  /// std::thread::hardware_concurrency() at Evaluate time; values > 1
-  /// shard the initial naive pass and every delta round by row-id range
-  /// across a fixed-size pool, staging derivations per worker and merging
-  /// at the round barrier. Every rule shards — interning
-  /// (TermDictionary / SkolemStore) is thread-safe, so Skolem and
-  /// FILTER/BIND builtins no longer force a serial path. Thread count
-  /// never affects result sets (only arena row ids); naive mode and
-  /// non-recursive strata always run serially.
-  void set_num_threads(uint32_t n) { num_threads_ = n; }
-
-  /// Fans the round-barrier merge out per target predicate (default on).
-  /// Off = the serial worker-then-predicate merge, kept as the
-  /// BM_BarrierMerge baseline and a safety valve.
-  void set_parallel_merge(bool on) { parallel_merge_ = on; }
-
-  /// Shards the initial naive pass of recursive strata (default on).
-  /// Off = the serial initial pass with same-pass visibility.
-  void set_parallel_naive(bool on) { parallel_naive_ = on; }
+  /// Ignored: a query's fixpoint always runs on the calling thread
+  /// (concurrency comes from concurrent Evaluate calls). These three
+  /// setters remain only so existing benchmark drivers still compile.
+  void set_num_threads(uint32_t) {}
+  void set_parallel_merge(bool) {}
+  void set_parallel_naive(bool) {}
 
   /// Runs TC-shaped recursive strata (one linear closure rule — the
   /// shape every recursive property path translates to) through the
@@ -138,14 +121,10 @@ class Evaluator {
   eval::ExprEvaluator expr_eval_;
   SkolemStore* skolems_;
   FixpointMode mode_ = FixpointMode::kSemiNaive;
-  uint32_t num_threads_ = 1;
-  bool parallel_merge_ = true;
-  bool parallel_naive_ = true;
   bool tc_kernel_ = true;
   StratumMemo* memo_ = nullptr;
   uint64_t dataset_fp_ = 0;
   IncrementalInput inc_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily sized on first parallel round
   EvalStats stats_;
 };
 

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <functional>
 
-#include "util/failpoint.h"
-
 namespace sparqlog::datalog {
 
 namespace {
-
-SPARQLOG_FAILPOINT_DEFINE(g_fp_merge_round, "datalog.merge.round");
 
 /// Initial open-addressing table size (power of two).
 constexpr size_t kInitialSlots = 16;
@@ -323,8 +319,8 @@ bool Relation::Insert(const Value* row, uint32_t round) {
 
 size_t Relation::InsertStaged(const Value* rows, size_t num_rows,
                               uint32_t round) {
-  // One stride dispatch for the whole staged batch: the barrier merge of
-  // a parallel round is a straight run of same-arity inserts.
+  // One stride dispatch for the whole batch: a straight run of
+  // same-arity inserts.
   return WithStride(arity(), [&](auto s) {
     size_t inserted = 0;
     const Value* row = rows;
@@ -573,7 +569,7 @@ bool Relation::TryProbe(const std::vector<uint32_t>& cols,
   Index* index = FindPublishedIndex(cols);
   if (index == nullptr) {
     std::lock_guard<std::mutex> lock(index_build_mu_);
-    index = FindPublishedIndex(cols);  // another worker may have raced us
+    index = FindPublishedIndex(cols);  // another query may have raced us
     if (index == nullptr) {
       uint32_t n = num_indexes_.load(std::memory_order_relaxed);
       if (n == kMaxPublishedIndexes) return false;
@@ -597,8 +593,7 @@ MatchSpan Relation::Probe(const std::vector<uint32_t>& cols,
   MatchSpan out;
   if (TryProbe(cols, key, &out)) return out;
   // Published capacity exhausted: spill into the unpublished overflow
-  // list. Correct but single-writer only; parallel workers never reach
-  // this path (they use TryProbe and scan on failure).
+  // list. Correct but single-writer only.
   Index* index = nullptr;
   for (auto& candidate : overflow_indexes_) {
     if (candidate->cols == cols) {
@@ -624,63 +619,6 @@ size_t Relation::bytes() const {
   for (uint32_t i = 0; i < published; ++i) n += indexes_[i]->bytes();
   for (const auto& index : overflow_indexes_) n += index->bytes();
   return n;
-}
-
-// --- Parallel barrier merge -------------------------------------------------
-
-Result<uint64_t> MergeStagedParallel(std::vector<StagedMergeTask>* tasks,
-                                     uint32_t round, ThreadPool* pool,
-                                     ExecContext* ctx, uint32_t* merge_phases,
-                                     uint32_t* fanout_width) {
-  SPARQLOG_FAILPOINT(g_fp_merge_round);
-  // Only predicates with staged rows occupy a merge slot; an all-empty
-  // barrier costs no worker wake-up at all.
-  std::vector<StagedMergeTask*> live;
-  live.reserve(tasks->size());
-  for (StagedMergeTask& task : *tasks) {
-    task.merged = 0;
-    size_t staged = 0;
-    for (const TupleStore* s : task.sources) {
-      if (s != nullptr) staged += s->size();
-    }
-    if (staged > 0) live.push_back(&task);
-  }
-  const size_t num_workers = pool->num_workers();
-  *fanout_width = static_cast<uint32_t>(std::min(live.size(), num_workers));
-  if (live.empty()) return uint64_t{0};
-
-  // One worker owns each live predicate end to end: it merges the
-  // predicate's staging stores in worker order, which reproduces the
-  // serial merge's first-occurrence order (and thus arena row ids)
-  // exactly — parallelism across predicates, determinism within each.
-  std::vector<Status> statuses(num_workers);
-  auto merge_worker = [&](size_t w) {
-    Status& st = statuses[w];
-    for (size_t i = w; i < live.size(); i += num_workers) {
-      StagedMergeTask& task = *live[i];
-      for (const TupleStore* s : task.sources) {
-        if (s == nullptr || s->size() == 0) continue;
-        uint64_t inserted = task.target->InsertStaged(*s, round);
-        task.merged += inserted;
-        ctx->AddTuples(inserted);
-        st = ctx->CheckBudgetShared(&merge_phases[w],
-                                    static_cast<uint32_t>(s->size()));
-        if (!st.ok()) return;
-      }
-    }
-  };
-  if (*fanout_width <= 1) {
-    merge_worker(0);
-  } else {
-    pool->RunOnWorkers(merge_worker);
-  }
-
-  uint64_t merged = 0;
-  for (const StagedMergeTask* task : live) merged += task->merged;
-  for (const Status& st : statuses) {
-    SPARQLOG_RETURN_NOT_OK(st);
-  }
-  return merged;
 }
 
 // --- Database ---------------------------------------------------------------

@@ -13,10 +13,7 @@
 
 #include "datalog/stride.h"
 #include "datalog/value.h"
-#include "util/exec_context.h"
 #include "util/hash.h"
-#include "util/status.h"
-#include "util/thread_pool.h"
 
 /// \file relation.h
 /// Columnar tuple storage for the Datalog engine.
@@ -36,8 +33,7 @@
 ///
 /// Iteration is exposed through a span-like view (`RowRef`) and a cursor
 /// (`TupleCursor`) instead of row pointers, which keeps the fixpoint inner
-/// loop free of pointer chasing and makes the arena trivially partitionable
-/// for future sharded / parallel-stratum evaluation.
+/// loop free of pointer chasing.
 
 namespace sparqlog::datalog {
 
@@ -178,15 +174,6 @@ class TupleStore {
 
   bool Contains(const Value* row) const;
 
-  /// Drops all tuples but keeps the arena and dedup capacity, so a store
-  /// reused as a per-round staging buffer stays allocation-free at steady
-  /// state.
-  void Clear() {
-    num_rows_ = 0;
-    arena_.clear();
-    std::fill(slots_.begin(), slots_.end(), 0u);
-  }
-
   /// Arena footprint in bytes (tuples + dedup table), for stats.
   size_t bytes() const {
     return arena_.capacity() * sizeof(Value) +
@@ -293,31 +280,28 @@ class Relation {
   /// Row ids whose values at `cols` equal `key`; builds the index on first
   /// use. `cols` must be sorted ascending. Returns an empty span when no
   /// row matches. The span stays valid while rows are inserted (see
-  /// MatchSpan). Single-writer like Insert: not safe against concurrent
-  /// calls (use TryProbe from parallel workers).
+  /// MatchSpan). Safe against concurrent Probe / TryProbe calls while the
+  /// published-index capacity lasts; past it, single-writer like Insert.
   MatchSpan Probe(const std::vector<uint32_t>& cols,
                   const std::vector<Value>& key);
 
-  /// Thread-safe probe for parallel evaluation: like Probe, but fails
-  /// (returns false) instead of building past the fixed published-index
-  /// capacity, in which case the caller must fall back to a filtered
-  /// scan. Safe to call concurrently with other TryProbe / Contains / row
-  /// reads — indexes are built under a mutex and published with a
-  /// release-store of the index count — but NOT concurrently with Insert.
+  /// Thread-safe probe for concurrent queries over a shared relation
+  /// (the engine's EDB): like Probe, but fails (returns false) instead of
+  /// building past the fixed published-index capacity, in which case the
+  /// caller must fall back to a filtered scan. Safe to call concurrently
+  /// with other TryProbe / Contains / row reads — indexes are built under
+  /// a mutex and published with a release-store of the index count — but
+  /// NOT concurrently with Insert.
   bool TryProbe(const std::vector<uint32_t>& cols,
                 const std::vector<Value>& key, MatchSpan* out);
 
   /// Bulk-merges `num_rows` staged tuples (flat TupleStore layout, arity()
   /// stride) tagged with `round`, deduplicating against existing contents.
-  /// Returns the number actually inserted. This is the round-barrier merge
-  /// path for parallel workers' staging buffers; it is single-writer, like
-  /// Insert, and dispatches the stride once for the whole batch so the
-  /// arity <= 4 merge loop runs fully specialized.
+  /// Returns the number actually inserted. Memo restore, the incremental
+  /// path and ApplyUpdate merge batches through it; it is single-writer,
+  /// like Insert, and dispatches the stride once for the whole batch so
+  /// the arity <= 4 merge loop runs fully specialized.
   size_t InsertStaged(const Value* rows, size_t num_rows, uint32_t round);
-  size_t InsertStaged(const TupleStore& staged, uint32_t round) {
-    assert(staged.arity() == arity());
-    return InsertStaged(staged.row_data(0), staged.size(), round);
-  }
 
   /// Bulk-appends `num_rows` tuples the caller guarantees are new —
   /// distinct within the batch and absent from the relation — tagged
@@ -375,14 +359,6 @@ class Relation {
   /// Cursor over all rows in insertion order. Invalidated by inserts.
   TupleCursor rows() const {
     return TupleCursor(store_.row_data(0), store_.arity(), store_.size());
-  }
-
-  /// Cursor over the row-id shard `[lo, hi)` — the unit of work for the
-  /// sharded delta scan (the arena is contiguous, so a shard is one flat
-  /// segment). Invalidated by inserts.
-  TupleCursor rows(uint32_t lo, uint32_t hi) const {
-    assert(lo <= hi && hi <= store_.size());
-    return TupleCursor(store_.row_data(lo), store_.arity(), hi - lo);
   }
 
   /// Half-open row-id range of rows inserted in `round`. Valid because
@@ -457,40 +433,10 @@ class Relation {
   std::mutex index_build_mu_;
 };
 
-/// One per-predicate unit of the parallel round-barrier merge: a target
-/// relation plus every worker's staging store for that predicate, in
-/// worker order (the order the serial merge visits them).
-struct StagedMergeTask {
-  Relation* target = nullptr;
-  std::vector<const TupleStore*> sources;  // worker order; empties allowed
-  uint64_t merged = 0;                     // out: tuples inserted
-};
-
-/// Fans the round-barrier merge out **per target predicate**: each task
-/// (one predicate) is handled by exactly one merge worker, which merges
-/// that predicate's staging stores in worker order — so every relation's
-/// arena ends up bit-identical to the serial worker-then-predicate merge,
-/// while distinct predicates merge concurrently (disjoint relations, no
-/// shared mutable state). Tasks with no staged rows are skipped; the rest
-/// are dealt round-robin across the pool.
-///
-/// `merge_phases` must point at `pool->num_workers()` stride-phase
-/// counters that persist across rounds: each merge worker charges the
-/// merged tuples to `ctx` per batch and budget-checks with the batch size
-/// as stride advance, so deadline sampling stays proportional to tuples
-/// merged regardless of fan-out width (see ExecContext::CheckBudgetShared).
-/// `*fanout_width` is set to the number of workers that received a task.
-/// Returns the total tuples inserted, or the first failing worker's
-/// budget status.
-Result<uint64_t> MergeStagedParallel(std::vector<StagedMergeTask>* tasks,
-                                     uint32_t round, ThreadPool* pool,
-                                     ExecContext* ctx, uint32_t* merge_phases,
-                                     uint32_t* fanout_width);
-
 /// Named relation store shared by EDB facts and derived IDB tuples.
 /// Relations are heap-allocated (they carry a mutex and atomics for the
 /// thread-safe probe path), so Relation pointers stay stable across map
-/// growth — parallel workers hold them for a whole evaluation round.
+/// growth.
 class Database {
  public:
   /// Relation for `pred`, created with `arity` if absent.

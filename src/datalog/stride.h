@@ -41,7 +41,7 @@ struct DynamicStride {
 /// Invokes `fn` with the stride tag for `arity`: `FixedStride<K>` for the
 /// hot K <= 4 case, `DynamicStride` otherwise. The callable is
 /// instantiated once per stride, so the switch runs once per call site
-/// (e.g. per bulk load or per shard scan), not once per row.
+/// (e.g. per bulk load or per staged batch), not once per row.
 template <typename Fn>
 decltype(auto) WithStride(uint32_t arity, Fn&& fn) {
   switch (arity) {

@@ -10,7 +10,6 @@
 #include "datalog/relation.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 /// \file tc_kernel.h
 /// Dedicated transitive-closure kernel for TC-shaped recursive strata —
@@ -32,11 +31,9 @@
 /// touched-word clearing when the graph is dense relative to its
 /// universe, sorted id vectors with set_difference rounds when sparse.
 /// The kernel honors the ExecContext budget/deadline (paced per edge
-/// traversed, same stride discipline as the join inner loop) and the
-/// evaluator's sharding knob: with a thread pool, carry groups are
-/// dealt across workers that stage rows locally and merge at a single
-/// barrier in worker order, so results stay deterministic for a fixed
-/// thread count.
+/// traversed, same stride discipline as the join inner loop). Carry
+/// groups run in ascending carry order, so the arena order of the new
+/// rows is deterministic.
 ///
 /// Detection is purely structural and conservative: anything with a
 /// second shared variable (e.g. GRAPH ?g closures), nonlinear
@@ -86,12 +83,10 @@ struct TcKernelStats {
 /// Completes the closure of the rule's head relation under the step
 /// relation. Must run after the stratum's non-closure rules have seeded
 /// the head relation (the kernel's seeds are exactly the rows present).
-/// New rows are tagged `insert_round`. `pool` may be null (serial);
-/// with a pool of > 1 workers, carry groups shard across it.
+/// New rows are tagged `insert_round`.
 Result<TcKernelStats> RunTcKernel(const TcShape& shape,
                                   const Program& program, Database* edb,
                                   Database* idb, uint32_t insert_round,
-                                  ExecContext* ctx, uint32_t* clock_phase,
-                                  ThreadPool* pool);
+                                  ExecContext* ctx);
 
 }  // namespace sparqlog::datalog

@@ -24,7 +24,8 @@ Value SkolemStore::Intern(uint32_t fn, std::vector<Value> args) {
   uint32_t id;
   {
     // Slot write completes before the id escapes via the stripe mutex or
-    // the round barrier, so the lock-free get() reads a completed term.
+    // another synchronizing hand-off, so the lock-free get() reads a
+    // completed term.
     auto alloc_lock = LockCounted(alloc_mu_, contention_);
     id = num_terms_.load(std::memory_order_relaxed);
     *terms_.Slot(id) = term;

@@ -61,9 +61,8 @@ struct SkolemTermHash {
 /// `FunctionName` are lock-free over BucketArray slots that never move,
 /// `Intern` stripes its reverse index by term hash and serializes id
 /// allocation on one mutex, and id numbering (not term identity) is the
-/// only thing that can vary across runs when multiple workers intern.
-/// This is what lets existential (Skolem-building) rules run on the
-/// sharded parallel fixpoint path instead of falling back to serial.
+/// only thing that can vary across runs when multiple threads intern.
+/// This is what lets concurrent queries share one engine's Skolem store.
 class SkolemStore {
  public:
   SkolemStore() = default;

@@ -24,7 +24,7 @@ TermId TermDictionary::Intern(const Term& term) {
   {
     // The slot is fully written before the id escapes: threads learn ids
     // through this stripe's mutex (same key), another synchronizing
-    // channel (relation publish, round barrier), or not at all — so the
+    // channel (an engine publish), or not at all — so the
     // lock-free get() below always reads a completed Term.
     auto alloc_lock = LockCounted(alloc_mu_, contention_);
     id = num_terms_.load(std::memory_order_relaxed);

@@ -25,12 +25,12 @@ namespace sparqlog::rdf {
 /// Id 0 is reserved for the undef/null term, so a default TermId acts as
 /// SPARQL's "unbound" marker throughout the system.
 ///
-/// Concurrency contract (what the parallel fixpoint relies on):
+/// Concurrency contract (what concurrent queries over one engine rely on):
 /// - `get` is lock-free: terms live in a `BucketArray` whose slots never
 ///   move, so a published id resolves with one acquire-load. Any id a
 ///   thread holds was handed to it through a synchronizing operation (the
-///   stripe mutex below, a frozen relation published before the parallel
-///   region, or the round barrier), which orders the slot write.
+///   stripe mutex below, or an engine state published before the query
+///   started), which orders the slot write.
 /// - `Intern*` / `Lookup` take one of `kStripes` mutexes selected by the
 ///   term's canonical-key hash, so unrelated terms intern concurrently;
 ///   id allocation serializes briefly on a global allocation mutex.
@@ -84,7 +84,7 @@ class TermDictionary {
   std::string Render(TermId id) const { return get(id).ToString(); }
 
   /// Failed stripe/allocation lock acquisitions since construction — the
-  /// interning-contention signal for parallel-fixpoint observability.
+  /// interning-contention signal between concurrent queries.
   uint64_t intern_contention() const {
     return contention_.load(std::memory_order_relaxed);
   }

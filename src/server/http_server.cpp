@@ -345,7 +345,13 @@ Status HttpServer::Start() {
 }
 
 void HttpServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  {
+    // Cleared under the queue mutex: a worker that has just found the
+    // server running in its wait predicate still holds the mutex until
+    // it blocks, so the notify_all below cannot slip in between.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  }
   // Unblock accept() by closing the listening socket.
   int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
   if (fd >= 0) {
@@ -608,10 +614,6 @@ HttpResponse HttpServer::StatsResponse() const {
   w.Key("plans_computed").Number(s.plans_computed);
   w.Key("plan_cache_hits").Number(s.plan_cache_hits);
   w.Key("rounds").Number(s.rounds);
-  w.Key("parallel_rounds").Number(s.parallel_rounds);
-  w.Key("naive_rounds_sharded").Number(s.naive_rounds_sharded);
-  w.Key("staged_tuples_merged").Number(s.staged_tuples_merged);
-  w.Key("merge_fanout_width").Number(s.merge_fanout_width);
   w.Key("interning_contention").Number(s.interning_contention);
   w.Key("tc_kernels_hit").Number(s.tc_kernels_hit);
   w.Key("tc_dense_frontiers").Number(s.tc_dense_frontiers);

@@ -21,10 +21,12 @@ class Lexer {
     while (true) {
       SkipWs();
       if (AtEnd()) {
-        out.push_back(Token{TokenKind::kEof, "", line_});
+        out.push_back(Token{TokenKind::kEof, "", line_, pos_});
         return out;
       }
+      const size_t start = pos_;
       SPARQLOG_ASSIGN_OR_RETURN(Token tok, Next());
+      tok.offset = start;
       out.push_back(std::move(tok));
     }
   }

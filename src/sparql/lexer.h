@@ -33,6 +33,7 @@ struct Token {
   TokenKind kind = TokenKind::kEof;
   std::string text;
   int line = 0;
+  size_t offset = 0;  ///< byte offset of the token's first character
 
   bool IsPunct(char c) const {
     return kind == TokenKind::kPunct && text.size() == 1 && text[0] == c;

@@ -75,6 +75,25 @@ class Parser {
                               ": " + what);
   }
 
+  /// One nesting level of the recursive descent, held for its scope.
+  /// `ok()` is false once the level lies past kMaxNestingDepth.
+  class Level {
+   public:
+    explicit Level(uint32_t* depth) : depth_(depth) { ++*depth_; }
+    ~Level() { --*depth_; }
+    Level(const Level&) = delete;
+    Level& operator=(const Level&) = delete;
+    bool ok() const { return *depth_ <= kMaxNestingDepth; }
+
+   private:
+    uint32_t* depth_;
+  };
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "sparql: nesting deeper than " + std::to_string(kMaxNestingDepth) +
+        " levels at byte " + std::to_string(Peek().offset));
+  }
+
   // --- prologue ------------------------------------------------------------
 
   Status Prologue() {
@@ -266,6 +285,8 @@ class Parser {
   // --- graph patterns ------------------------------------------------------
 
   Result<PatternPtr> GroupGraphPattern() {
+    Level level(&depth_);
+    if (!level.ok()) return TooDeep();
     SPARQLOG_RETURN_NOT_OK(ExpectPunct('{'));
     if (PeekKeyword("SELECT")) {
       return Status::NotSupported("sub-SELECT is not supported (Table 1)");
@@ -620,6 +641,8 @@ class Parser {
   }
 
   Result<PathPtr> PathPrimary() {
+    Level level(&depth_);
+    if (!level.ok()) return TooDeep();
     if (ConsumePunct('(')) {
       SPARQLOG_ASSIGN_OR_RETURN(PathPtr inner, ParsePath());
       SPARQLOG_RETURN_NOT_OK(ExpectPunct(')'));
@@ -748,7 +771,11 @@ class Parser {
     }
   }
 
+  // Every expression level (bracket, argument list, unary operator)
+  // passes through here once, so this is where expression depth counts.
   Result<ExprPtr> UnaryExpression() {
+    Level level(&depth_);
+    if (!level.ok()) return TooDeep();
     if (ConsumePunct('!')) {
       SPARQLOG_ASSIGN_OR_RETURN(ExprPtr inner, UnaryExpression());
       return Expr::MakeNot(std::move(inner));
@@ -888,6 +915,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  uint32_t depth_ = 0;  // current nesting level, see kMaxNestingDepth
   rdf::TermDictionary* dict_;
   ParserOptions options_;
   std::map<std::string, std::string> prefixes_;

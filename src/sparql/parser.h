@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 
 #include "rdf/dictionary.h"
@@ -17,6 +18,15 @@
 /// experiment (Table 1) can distinguish "unsupported" from "syntax error".
 
 namespace sparqlog::sparql {
+
+/// Deepest nesting the parser accepts, counted across group patterns
+/// (`{ ... }`, the WHERE clause's group being level 1), expression levels
+/// (each bracket, function argument list or unary operator) and
+/// bracketed property paths. Recursive descent spends stack per level,
+/// so deeper input is rejected with InvalidArgument (HTTP 400) and its
+/// byte position instead of overflowing the stack. No workload query
+/// comes near it.
+inline constexpr uint32_t kMaxNestingDepth = 512;
 
 /// Parser configuration.
 struct ParserOptions {

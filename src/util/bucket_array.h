@@ -16,13 +16,14 @@
 /// addresses are stable for the array's lifetime and readers index with
 /// one acquire-load and no lock. This is what lets
 /// `TermDictionary::get` / `SkolemStore::get` stay on the hot join path
-/// while parallel fixpoint workers intern concurrently.
+/// while concurrent queries intern into the same store.
 ///
 /// Writers are *externally serialized* (the interners' allocation mutex):
 /// `Slot(i)` may allocate, so only one thread may call it at a time, and
 /// a slot's contents must be fully written before its index is published
 /// to readers (the interners publish ids under their stripe mutexes, or
-/// through the round barrier, both of which order the writes).
+/// through another synchronizing hand-off such as an engine publish, both
+/// of which order the writes).
 
 namespace sparqlog {
 

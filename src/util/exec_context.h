@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -18,8 +17,9 @@ namespace sparqlog {
 /// Execution limits for one query evaluation.
 ///
 /// A default-constructed context is unlimited. `CheckBudget()` should be
-/// called periodically from evaluation loops; it is cheap (a relaxed atomic
-/// counter plus an occasional clock read).
+/// called periodically from evaluation loops; it is cheap (a counter
+/// compare plus an occasional clock read). One context belongs to one
+/// query, which runs on one thread: it is not synchronized.
 class ExecContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -36,47 +36,24 @@ class ExecContext {
   void set_tuple_budget(uint64_t budget) { tuple_budget_ = budget; }
 
   uint64_t tuple_budget() const { return tuple_budget_; }
-  uint64_t tuples_used() const {
-    return tuples_used_.load(std::memory_order_relaxed);
-  }
+  uint64_t tuples_used() const { return tuples_used_; }
 
   /// Records `n` materialized tuples against the budget.
-  void AddTuples(uint64_t n) {
-    tuples_used_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void AddTuples(uint64_t n) { tuples_used_ += n; }
 
   /// Returns Timeout / ResourceExhausted when a limit has been crossed.
-  /// The deadline is only consulted every `kClockStride` calls to keep the
-  /// common path branch-cheap.
-  Status CheckBudget() { return CheckBudgetShared(&clock_phase_); }
-
-  /// Thread-safe variant for parallel evaluation: identical semantics, but
-  /// the clock-stride phase counter lives in caller-owned state, so
-  /// concurrent workers each pace their own deadline checks instead of
-  /// racing on a shared counter. Limits must be configured before workers
-  /// start (set_deadline_after / set_tuple_budget are not synchronized).
-  Status CheckBudgetShared(uint32_t* clock_phase) const {
-    return CheckBudgetShared(clock_phase, 1);
-  }
-
-  /// Batch variant: advances the caller's stride phase by `advance` work
-  /// units in one call and samples the clock whenever a stride boundary
-  /// is crossed. This keeps the deadline-sampling cadence proportional to
-  /// work *done*, not to call count — the per-predicate merge fan-out
-  /// processes a whole staged batch per call, so a merge worker that
-  /// checked once per batch with the unit variant would sample the clock
-  /// `fan_out * kClockStride` batches apart and could overshoot a
-  /// deadline by several rounds. With `advance` = batch tuple count,
-  /// every worker still samples about once per kClockStride tuples it
-  /// merges, whatever the fan-out width.
-  Status CheckBudgetShared(uint32_t* clock_phase, uint32_t advance) const {
-    if (tuples_used_.load(std::memory_order_relaxed) > tuple_budget_) {
+  /// Advances the stride phase by `advance` work units and samples the
+  /// clock only when that crosses a `kClockStride` boundary, so the
+  /// deadline cadence follows work done (a batch charges its size), not
+  /// call count, and the common path stays branch-cheap.
+  Status CheckBudget(uint32_t advance = 1) {
+    if (tuples_used_ > tuple_budget_) {
       return Status::ResourceExhausted("tuple budget exceeded (mem-out)");
     }
     if (has_deadline_) {
-      const uint32_t before = *clock_phase;
-      *clock_phase = before + advance;
-      if (before / kClockStride != *clock_phase / kClockStride &&
+      const uint32_t before = clock_phase_;
+      clock_phase_ = before + advance;
+      if (before / kClockStride != clock_phase_ / kClockStride &&
           Clock::now() > deadline_) {
         return Status::Timeout("deadline exceeded");
       }
@@ -90,15 +67,14 @@ class ExecContext {
   }
 
   /// Deadline checks are sampled once per this many work units (see
-  /// CheckBudgetShared); exposed for tests and pacing callers.
+  /// CheckBudget); exposed for tests and pacing callers.
   static constexpr uint32_t kClockStride = 256;
 
  private:
-
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
   uint64_t tuple_budget_ = std::numeric_limits<uint64_t>::max();
-  std::atomic<uint64_t> tuples_used_{0};
+  uint64_t tuples_used_ = 0;
   uint32_t clock_phase_ = 0;
 };
 

@@ -88,12 +88,9 @@ std::string FormatCacheStats(const RunRecord& r) {
       static_cast<unsigned long long>(r.stratum_memo_hits),
       static_cast<unsigned long long>(r.stratum_memo_misses),
       static_cast<unsigned long long>(r.tuples_restored));
-  if (r.parallel_rounds > 0) {
+  if (r.interning_contention > 0) {
     out += StringPrintf(
-        " · par %ur/%un · %llu merged ×%u · %llu contended",
-        r.parallel_rounds, r.naive_rounds_sharded,
-        static_cast<unsigned long long>(r.staged_tuples_merged),
-        r.merge_fanout_width,
+        " · %llu contended",
         static_cast<unsigned long long>(r.interning_contention));
   }
   if (r.plans_computed > 0 || r.plan_cache_hits > 0) {

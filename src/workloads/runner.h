@@ -54,12 +54,8 @@ struct RunRecord {
   uint64_t stratum_memo_hits = 0;
   uint64_t stratum_memo_misses = 0;
   uint64_t tuples_restored = 0;
-  /// Fixpoint-parallelism counters (SparqLog adapter only, from
-  /// Engine::stats(): zero for baselines and single-threaded runs).
-  uint32_t parallel_rounds = 0;
-  uint32_t naive_rounds_sharded = 0;
-  uint64_t staged_tuples_merged = 0;
-  uint32_t merge_fanout_width = 0;
+  /// Dict + Skolem interning-lock contention (SparqLog adapter only,
+  /// from Engine::stats(): zero for baselines and uncontended runs).
   uint64_t interning_contention = 0;
   /// Transitive-closure kernel counters (SparqLog adapter only, from
   /// Engine::stats(): zero for baselines and kernel-off runs).
@@ -125,9 +121,9 @@ class TablePrinter {
 std::string FormatTime(const RunRecord& r, bool total = false);
 
 /// One-line rendering of the cache counters carried in a RunRecord,
-/// e.g. "Tq 1h/2r/1m · strata 8h/8m · 42 tuples restored"; when the run
-/// fanned out, the fixpoint-parallelism counters are appended, e.g.
-/// " · par 6r/1n · 120 merged ×4 · 0 contended"; when the join planner
+/// e.g. "Tq 1h/2r/1m · strata 8h/8m · 42 tuples restored"; when interning
+/// contended, the contention count is appended, e.g. " · 2 contended";
+/// when the join planner
 /// ran, its counters follow, e.g. " · plan 1c/1h q1.3" (computed / warm
 /// cache hits / output-estimate q-error).
 std::string FormatCacheStats(const RunRecord& r);

@@ -81,10 +81,6 @@ class SparqLogSystem : public System {
     r.stratum_memo_hits = es.stratum_hits;
     r.stratum_memo_misses = es.stratum_misses;
     r.tuples_restored = es.tuples_restored;
-    r.parallel_rounds = es.parallel_rounds;
-    r.naive_rounds_sharded = es.naive_rounds_sharded;
-    r.staged_tuples_merged = es.staged_tuples_merged;
-    r.merge_fanout_width = es.merge_fanout_width;
     r.interning_contention = es.interning_contention;
     r.plans_computed = es.plans_computed;
     r.plan_cache_hits = es.plan_cache_hits;

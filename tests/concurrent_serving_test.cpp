@@ -90,9 +90,7 @@ TEST_F(ConcurrentServingTest, HammerBitIdenticalToPrivateEngines) {
   // Shared engine hammered by 8 client threads, each sweeping the whole
   // mixed stream several times from a different starting offset (so hot
   // cache hits, cold translations and scoped FROM/GRAPH queries overlap).
-  core::Engine::Options options;
-  options.parallelism.num_threads = 2;
-  core::Engine shared(&dataset_, &dict_, options);
+  core::Engine shared(&dataset_, &dict_);
   ASSERT_TRUE(shared.Load().ok());
 
   constexpr int kThreads = 8;

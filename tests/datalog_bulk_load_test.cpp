@@ -3,7 +3,7 @@
 // relations must be query-identical to insert-built ones — including
 // duplicate-heavy and empty batches and the dynamic arity > 4 fallback —
 // and the full engine pipeline over a bulk-loaded EDB must agree with the
-// per-tuple reference build at num_threads {1, 2, 8}.
+// per-tuple reference build.
 
 #include <gtest/gtest.h>
 
@@ -224,10 +224,10 @@ TEST(DataTranslatorBulkLoad, EmptyDatasetStillMaterializesCoreRelations) {
   EXPECT_EQ(edb.Find(p.null_pred)->size(), 1u);
 }
 
-// --- Engine-level differential across thread counts -------------------------
+// --- Engine-level differential ----------------------------------------------
 
 /// Chain graph with shortcuts and a recursive query mix, mirroring the
-/// micro benchmarks: recursive paths exercise the parallel fixpoint,
+/// micro benchmarks: recursive paths exercise the recursive fixpoint,
 /// OPTIONAL/ORDER BY exercise the solution translation.
 void BuildChain(size_t n, rdf::TermDictionary* dict, rdf::Dataset* dataset) {
   rdf::TermId p = dict->InternIri("http://b.org/p");
@@ -242,7 +242,7 @@ void BuildChain(size_t n, rdf::TermDictionary* dict, rdf::Dataset* dataset) {
   }
 }
 
-TEST(EngineBulkLoad, BulkMatchesPerTupleAcrossThreadCounts) {
+TEST(EngineBulkLoad, BulkMatchesPerTuple) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   BuildChain(120, &dict, &dataset);
@@ -254,49 +254,25 @@ TEST(EngineBulkLoad, BulkMatchesPerTupleAcrossThreadCounts) {
       "ASK { <http://b.org/n0> <http://b.org/p>+ <http://b.org/n9> }",
   };
 
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    core::Engine::Options bulk_opts;
-    bulk_opts.parallelism.num_threads = threads;
-    core::Engine bulk_engine(&dataset, &dict, bulk_opts);
-    ASSERT_TRUE(bulk_engine.Load().ok());
+  core::Engine bulk_engine(&dataset, &dict);
+  ASSERT_TRUE(bulk_engine.Load().ok());
 
-    core::Engine::Options ref_opts = bulk_opts;
-    ref_opts.edb_build = core::EdbBuild::kPerTupleInsert;
-    core::Engine ref_engine(&dataset, &dict, ref_opts);
-    ASSERT_TRUE(ref_engine.Load().ok());
+  core::Engine::Options ref_opts;
+  ref_opts.edb_build = core::EdbBuild::kPerTupleInsert;
+  core::Engine ref_engine(&dataset, &dict, ref_opts);
+  ASSERT_TRUE(ref_engine.Load().ok());
 
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      auto got = bulk_engine.ExecuteText(queries[qi]);
-      auto want = ref_engine.ExecuteText(queries[qi]);
-      ASSERT_TRUE(got.ok()) << queries[qi] << got.status().ToString();
-      ASSERT_TRUE(want.ok()) << queries[qi] << want.status().ToString();
-      EXPECT_TRUE(got->result.SameSolutions(want->result))
-          << "threads=" << threads << " query " << qi;
-      // The bulk-built EDB is bit-identical to the per-tuple one, so the
-      // whole pipeline — row order included — must agree exactly.
-      EXPECT_EQ(got->result.rows, want->result.rows)
-          << "threads=" << threads << " query " << qi;
-      EXPECT_EQ(got->result.is_ask, want->result.is_ask);
-      EXPECT_EQ(got->result.ask_value, want->result.ask_value);
-    }
-  }
-
-  // And the bulk path itself is bit-identical across thread counts for
-  // the deterministically ordered query.
-  std::vector<std::vector<rdf::TermId>> first;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    core::Engine::Options opts;
-    opts.parallelism.num_threads = threads;
-    core::Engine engine(&dataset, &dict, opts);
-    ASSERT_TRUE(engine.Load().ok());
-    auto result = engine.ExecuteText(queries[0]);
-    ASSERT_TRUE(result.ok());
-    if (first.empty()) {
-      first = result->result.rows;
-      ASSERT_FALSE(first.empty());
-    } else {
-      EXPECT_EQ(result->result.rows, first) << "threads=" << threads;
-    }
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    auto got = bulk_engine.ExecuteText(queries[qi]);
+    auto want = ref_engine.ExecuteText(queries[qi]);
+    ASSERT_TRUE(got.ok()) << queries[qi] << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << queries[qi] << want.status().ToString();
+    EXPECT_TRUE(got->result.SameSolutions(want->result)) << "query " << qi;
+    // The bulk-built EDB is bit-identical to the per-tuple one, so the
+    // whole pipeline — row order included — must agree exactly.
+    EXPECT_EQ(got->result.rows, want->result.rows) << "query " << qi;
+    EXPECT_EQ(got->result.is_ask, want->result.is_ask);
+    EXPECT_EQ(got->result.ask_value, want->result.ask_value);
   }
 }
 

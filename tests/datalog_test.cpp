@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -52,6 +53,42 @@ TEST(SkolemStoreTest, NestedSkolemArguments) {
   Value outer2 = skolems.Intern(f, {inner, 2});
   EXPECT_EQ(outer1, outer2);
   EXPECT_NE(outer1, inner);
+}
+
+/// Concurrent queries intern Skolem terms into one shared store:
+/// concurrent Intern of overlapping terms must be consistent and get()
+/// must round-trip. (TSan runs this suite: a racy slot publish or index
+/// stripe would surface here.)
+TEST(SkolemStoreTest, ConcurrentInterningIsConsistent) {
+  constexpr size_t kWorkers = 8;
+  constexpr uint64_t kDistinct = 400;
+  SkolemStore skolems;
+  uint32_t f = skolems.InternFunction("f1");
+  uint32_t g = skolems.InternFunction("f2");
+  std::vector<std::vector<Value>> vals(kWorkers);
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kDistinct; ++i) {
+        uint64_t k = (i + w * 53) % kDistinct;
+        vals[w].push_back(skolems.Intern(f, {k, k % 7}));
+        vals[w].push_back(skolems.Intern(g, {k}));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t w = 0; w < kWorkers; ++w) {
+    for (uint64_t i = 0; i < kDistinct; ++i) {
+      uint64_t k = (i + w * 53) % kDistinct;
+      EXPECT_EQ(vals[w][2 * i], skolems.Intern(f, {k, k % 7}));
+      EXPECT_EQ(vals[w][2 * i + 1], skolems.Intern(g, {k}));
+      const SkolemTerm& t = skolems.get(vals[w][2 * i]);
+      EXPECT_EQ(t.fn, f);
+      ASSERT_EQ(t.args.size(), 2u);
+      EXPECT_EQ(t.args[0], k);
+    }
+  }
+  EXPECT_EQ(skolems.size(), 2 * kDistinct);
 }
 
 TEST(RelationTest, InsertDedupAndRounds) {
@@ -121,56 +158,19 @@ TEST(RelationTest, InsertStagedMergesAndDedupes) {
   Relation rel(2);
   rel.Insert({1, 2}, 0);
   rel.Insert({3, 4}, 0);
-  // Staging buffer holds one duplicate of the relation and two fresh
-  // tuples (already deduped within itself, as worker staging stores are).
-  TupleStore staged(2);
-  bool fresh = false;
-  const Value rows[][2] = {{1, 2}, {5, 6}, {7, 8}};
-  for (const auto& row : rows) staged.Insert(row, &fresh);
-  EXPECT_EQ(rel.InsertStaged(staged, 3), 2u);
+  // The batch holds one duplicate of the relation, two fresh tuples and a
+  // repeat of one of them (memo snapshots and update deltas are flat
+  // batches like this).
+  const Value rows[] = {1, 2, 5, 6, 7, 8, 5, 6};
+  EXPECT_EQ(rel.InsertStaged(rows, 4, 3), 2u);
   EXPECT_EQ(rel.size(), 4u);
   EXPECT_TRUE(rel.Contains({5, 6}));
-  // Merged rows carry the barrier round: they form round 3's delta.
+  // Merged rows carry the batch's round: they form round 3's delta.
   auto [lo, hi] = rel.RoundRange(3);
   EXPECT_EQ(hi - lo, 2u);
   EXPECT_EQ(rel.row(lo), (std::vector<Value>{5, 6}));
-  // An empty staging store merges nothing.
-  TupleStore empty(2);
-  EXPECT_EQ(rel.InsertStaged(empty, 4), 0u);
-}
-
-TEST(TupleStoreTest, ClearKeepsCapacityAndResetsDedup) {
-  TupleStore store(2);
-  bool fresh = false;
-  for (Value i = 0; i < 100; ++i) {
-    store.Insert(std::vector<Value>{i, i + 1}.data(), &fresh);
-  }
-  EXPECT_EQ(store.size(), 100u);
-  size_t bytes_before = store.bytes();
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.bytes(), bytes_before);  // capacity retained
-  const Value row[] = {7, 8};
-  store.Insert(row, &fresh);
-  EXPECT_TRUE(fresh);  // dedup table was reset, not just truncated
-  store.Insert(row, &fresh);
-  EXPECT_FALSE(fresh);
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(RelationTest, ShardRangeCursorCoversArenaSegments) {
-  Relation rel(2);
-  for (Value i = 0; i < 10; ++i) rel.Insert({i, i * 2}, 0);
-  TupleCursor shard = rel.rows(4, 7);
-  ASSERT_EQ(shard.size(), 3u);
-  EXPECT_EQ(shard[0], (std::vector<Value>{4, 8}));
-  EXPECT_EQ(shard[2], (std::vector<Value>{6, 12}));
-  // Shards tile the arena: [0,5) + [5,10) visit each row exactly once.
-  size_t visited = 0;
-  for (RowRef row : rel.rows(0, 5)) visited += row.size() ? 1 : 0;
-  for (RowRef row : rel.rows(5, 10)) visited += row.size() ? 1 : 0;
-  EXPECT_EQ(visited, rel.size());
-  EXPECT_TRUE(rel.rows(10, 10).empty());
+  // An empty batch merges nothing.
+  EXPECT_EQ(rel.InsertStaged(rows, 0, 4), 0u);
 }
 
 TEST(RelationTest, CursorIteratesArenaInInsertionOrder) {
@@ -489,6 +489,91 @@ TEST_F(EvaluatorTest, TupleBudgetAborts) {
   ctx_.set_tuple_budget(500);
   Status st = evaluator_.Evaluate(program, &edb_, &idb_, &ctx_);
   EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+}
+
+// --- fixpoint order and pacing ----------------------------------------------
+
+class FixpointOrderTest : public ::testing::Test {
+ protected:
+  Value V(int64_t i) { return ValueFromTerm(dict_.InternInteger(i)); }
+
+  rdf::TermDictionary dict_;
+};
+
+/// Pins the semi-naive arena order: the insertion order of the closure
+/// must stay exactly the seed sequence (initial pass in rule order with
+/// same-pass visibility, then one delta scan per round). Byte-identical
+/// dumps follow a fortiori, since dumps are derived from arena contents.
+TEST_F(FixpointOrderTest, SingleThreadKeepsSeedInsertionOrder) {
+  Program program;
+  PredicateId edge = program.predicates.Intern("edge", 2);
+  RuleBuilder rb(&program.predicates);
+  rb.Head("tc", {rb.Var("X"), rb.Var("Y")});
+  rb.Body("edge", {rb.Var("X"), rb.Var("Y")});
+  program.rules.push_back(rb.Build());
+  rb.Head("tc", {rb.Var("X"), rb.Var("Z")});
+  rb.Body("edge", {rb.Var("X"), rb.Var("Y")});
+  rb.Body("tc", {rb.Var("Y"), rb.Var("Z")});
+  program.rules.push_back(rb.Build());
+  PredicateId tc = *program.predicates.Lookup("tc");
+
+  Database edb, idb;
+  for (int64_t i = 1; i <= 3; ++i) {
+    edb.relation(edge, 2).Insert({V(i), V(i + 1)}, 0);
+  }
+  SkolemStore skolems;
+  Evaluator evaluator(&dict_, &skolems);
+  evaluator.set_num_threads(1);
+  ExecContext ctx;
+  ASSERT_TRUE(evaluator.Evaluate(program, &edb, &idb, &ctx).ok());
+
+  // Chain 1->2->3->4. Initial pass: rule 1 copies the edges in scan
+  // order, then rule 2 joins each edge against the tc rows already
+  // inserted this pass. Round 2's delta scan adds the last pair.
+  const std::vector<std::vector<Value>> expected = {
+      {V(1), V(2)}, {V(2), V(3)}, {V(3), V(4)},
+      {V(1), V(3)}, {V(2), V(4)}, {V(1), V(4)},
+  };
+  const Relation* rel = idb.Find(tc);
+  ASSERT_NE(rel, nullptr);
+  ASSERT_EQ(rel->size(), expected.size());
+  for (uint32_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(rel->row(i), expected[i]) << "row " << i;
+  }
+  EXPECT_EQ(evaluator.stats().parallel_rounds, 0u);
+}
+
+/// The deadline must still be sampled when an evaluation is made of many
+/// short rule runs: the clock-stride phase lives in the context and
+/// persists across rule invocations, so an expired deadline trips even
+/// though no single rule run performs kClockStride checks on its own.
+TEST_F(FixpointOrderTest, DeadlineTripsAcrossManyShortRuleRuns) {
+  Program program;
+  PredicateId edge = program.predicates.Intern("edge", 2);
+  RuleBuilder rb(&program.predicates);
+  rb.Head("tc", {rb.Var("X"), rb.Var("Y")});
+  rb.Body("edge", {rb.Var("X"), rb.Var("Y")});
+  program.rules.push_back(rb.Build());
+  rb.Head("tc", {rb.Var("X"), rb.Var("Z")});
+  rb.Body("edge", {rb.Var("X"), rb.Var("Y")});
+  rb.Body("tc", {rb.Var("Y"), rb.Var("Z")});
+  program.rules.push_back(rb.Build());
+
+  // A long chain: hundreds of fixpoint rounds with tiny deltas, so every
+  // individual rule run stays far under one clock stride. The TC kernel
+  // would close the chain in one shot, so it is off here.
+  Database edb, idb;
+  for (int64_t i = 1; i <= 400; ++i) {
+    edb.relation(edge, 2).Insert({V(i), V(i + 1)}, 0);
+  }
+  SkolemStore skolems;
+  Evaluator evaluator(&dict_, &skolems);
+  evaluator.set_tc_kernel(false);
+  ExecContext ctx;
+  ctx.set_deadline_after(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Status st = evaluator.Evaluate(program, &edb, &idb, &ctx);
+  EXPECT_TRUE(st.IsTimeout()) << st.ToString();
 }
 
 TEST(ProgramValidateTest, RejectsUnsafeRules) {

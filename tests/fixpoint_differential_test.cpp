@@ -18,28 +18,16 @@ namespace {
 
 class FixpointDifferentialTest : public ::testing::Test {
  protected:
-  /// One evaluation configuration under test: fixpoint strategy plus the
-  /// worker-thread count of the sharded semi-naive path (ignored by naive
-  /// mode, which is the single-threaded reference semantics).
-  struct Config {
-    FixpointMode mode;
-    uint32_t num_threads;
-  };
-
-  /// Evaluates `program` over `edb_facts` under naive, serial semi-naive,
-  /// and sharded semi-naive (2 and 8 workers) and asserts the canonical
-  /// dumps of every IDB relation are identical across all four.
+  /// Evaluates `program` over `edb_facts` under naive and semi-naive
+  /// evaluation and asserts the canonical dumps of every IDB relation are
+  /// identical across both.
   void ExpectModesAgree(
       const Program& program,
       const std::vector<std::pair<PredicateId, std::vector<Value>>>&
           edb_facts,
       const std::vector<std::string>& skolem_fns = {}) {
-    const Config configs[] = {{FixpointMode::kNaive, 1},
-                              {FixpointMode::kSemiNaive, 1},
-                              {FixpointMode::kSemiNaive, 2},
-                              {FixpointMode::kSemiNaive, 8}};
     std::string reference;
-    for (const Config& config : configs) {
+    for (FixpointMode mode : {FixpointMode::kNaive, FixpointMode::kSemiNaive}) {
       Database edb, idb;
       for (const auto& [pred, tuple] : edb_facts) {
         edb.relation(pred, static_cast<uint32_t>(tuple.size()))
@@ -50,8 +38,7 @@ class FixpointDifferentialTest : public ::testing::Test {
       SkolemStore skolems;
       for (const std::string& fn : skolem_fns) skolems.InternFunction(fn);
       Evaluator evaluator(&dict_, &skolems);
-      evaluator.set_mode(config.mode);
-      evaluator.set_num_threads(config.num_threads);
+      evaluator.set_mode(mode);
       ExecContext ctx;
       ASSERT_TRUE(evaluator.Evaluate(program, &edb, &idb, &ctx).ok());
       std::string dump = ToString(idb, program.predicates, dict_, skolems);
@@ -61,8 +48,7 @@ class FixpointDifferentialTest : public ::testing::Test {
       } else {
         EXPECT_EQ(reference, dump)
             << "divergence at mode="
-            << (config.mode == FixpointMode::kNaive ? "naive" : "semi-naive")
-            << " num_threads=" << config.num_threads;
+            << (mode == FixpointMode::kNaive ? "naive" : "semi-naive");
       }
     }
   }

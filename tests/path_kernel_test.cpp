@@ -1,7 +1,7 @@
 // Differential suite for the transitive-closure kernel
 // (datalog/tc_kernel.h): an engine with fixpoint.tc_kernel on must
 // produce solution-identical results to the generic delta fixpoint —
-// across the gMark path workload at several thread counts, on SP2Bench
+// across the gMark path workload, on SP2Bench
 // citation closures, under a mid-closure budget trip, on cyclic /
 // self-loop / empty micro-graphs, and in both frontier representations
 // (dense bitsets and the sorted-vector sparse fallback).
@@ -22,9 +22,9 @@ namespace sparqlog {
 namespace {
 
 // ThreadSanitizer slows the kernel-off million-tuple closures by an
-// order of magnitude; the TSan job wants the same parallel code paths
-// exercised, not the same workload sizes, so the sweeps shrink and the
-// per-query timeout loosens under instrumentation.
+// order of magnitude; the TSan job wants the same code paths exercised,
+// not the same workload sizes, so the sweeps shrink and the per-query
+// timeout loosens under instrumentation.
 #if defined(__SANITIZE_THREAD__)
 constexpr bool kTsan = true;
 #elif defined(__has_feature)
@@ -37,11 +37,10 @@ constexpr bool kTsan = false;
 constexpr bool kTsan = false;
 #endif
 
-core::Engine::Options KernelOptions(bool kernel_on, uint32_t threads = 1) {
+core::Engine::Options KernelOptions(bool kernel_on) {
   core::Engine::Options o;
   o.timeout = std::chrono::seconds(kTsan ? 300 : 30);
   o.tuple_budget = 8'000'000;
-  o.parallelism.num_threads = threads;
   o.fixpoint.tc_kernel = kernel_on;
   return o;
 }
@@ -51,10 +50,9 @@ core::Engine::Options KernelOptions(bool kernel_on, uint32_t threads = 1) {
 /// the query carries ORDER BY). Returns the number of queries compared.
 size_t SweepKernelDifferential(const rdf::Dataset& dataset,
                                rdf::TermDictionary* dict,
-                               const std::vector<std::string>& queries,
-                               uint32_t threads) {
-  core::Engine on_engine(&dataset, dict, KernelOptions(true, threads));
-  core::Engine off_engine(&dataset, dict, KernelOptions(false, threads));
+                               const std::vector<std::string>& queries) {
+  core::Engine on_engine(&dataset, dict, KernelOptions(true));
+  core::Engine off_engine(&dataset, dict, KernelOptions(false));
   EXPECT_TRUE(on_engine.Load().ok());
   EXPECT_TRUE(off_engine.Load().ok());
   size_t swept = 0;
@@ -62,39 +60,32 @@ size_t SweepKernelDifferential(const rdf::Dataset& dataset,
     auto a = on_engine.ExecuteText(text);
     auto b = off_engine.ExecuteText(text);
     if (!a.ok() && !b.ok()) continue;  // both over budget: nothing to pin
-    EXPECT_TRUE(a.ok()) << text << "\nthreads " << threads << ": "
-                        << a.status().ToString();
-    EXPECT_TRUE(b.ok()) << text << "\nthreads " << threads << ": "
-                        << b.status().ToString();
+    EXPECT_TRUE(a.ok()) << text << "\n" << a.status().ToString();
+    EXPECT_TRUE(b.ok()) << text << "\n" << b.status().ToString();
     if (!a.ok() || !b.ok()) continue;
     EXPECT_EQ(a->result.columns, b->result.columns) << text;
     EXPECT_TRUE(a->result.SameSolutions(b->result))
-        << text << "\nthreads " << threads << ": kernel changed solutions ("
+        << text << "\nkernel changed solutions ("
         << a->result.rows.size() << " vs " << b->result.rows.size()
         << " rows)";
     EXPECT_EQ(a->result.ask_value, b->result.ask_value) << text;
     ++swept;
   }
   // The kernel actually ran on the on-engine and never on the off-engine.
-  EXPECT_GT(on_engine.stats().tc_kernels_hit, 0u) << "threads " << threads;
-  EXPECT_EQ(off_engine.stats().tc_kernels_hit, 0u) << "threads " << threads;
+  EXPECT_GT(on_engine.stats().tc_kernels_hit, 0u);
+  EXPECT_EQ(off_engine.stats().tc_kernels_hit, 0u);
   return swept;
 }
 
 // The full machine-generated gMark path workload (sequence, alternative,
-// inverse, the recursive forms, counted forms) at 1 / 2 / 8 threads.
-TEST(PathKernelDifferentialTest, GmarkQueriesMatchAcrossThreadCounts) {
+// inverse, the recursive forms, counted forms).
+TEST(PathKernelDifferentialTest, GmarkQueriesMatch) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   workloads::GmarkScenario scenario = workloads::GmarkTest();
   workloads::GenerateGmarkGraph(scenario, &dataset);
   std::vector<std::string> queries = workloads::GenerateGmarkQueries(scenario);
-  const std::vector<uint32_t> thread_counts =
-      kTsan ? std::vector<uint32_t>{1u, 8u} : std::vector<uint32_t>{1u, 2u, 8u};
-  for (uint32_t threads : thread_counts) {
-    size_t swept = SweepKernelDifferential(dataset, &dict, queries, threads);
-    EXPECT_GE(swept, 30u) << "threads " << threads;
-  }
+  EXPECT_GE(SweepKernelDifferential(dataset, &dict, queries), 30u);
 }
 
 // Recursive closures over the larger social scenario — the graph the
@@ -115,8 +106,7 @@ TEST(PathKernelDifferentialTest, GmarkSocialClosuresMatch) {
       " FILTER(?x = ?y) }",
   };
   if (kTsan) queries.resize(2);  // the two heaviest closures suffice
-  size_t swept = SweepKernelDifferential(dataset, &dict, queries, 8);
-  EXPECT_EQ(swept, queries.size());
+  EXPECT_EQ(SweepKernelDifferential(dataset, &dict, queries), queries.size());
 }
 
 // SP2Bench's citation graph: dcterms:references forms a DAG between
@@ -134,10 +124,7 @@ TEST(PathKernelDifferentialTest, Sp2bReferenceClosuresMatch) {
       "SELECT ?a ?t WHERE { ?a " + refs +
           "+/<http://purl.org/dc/elements/1.1/title> ?t }",
   };
-  for (uint32_t threads : {1u, 8u}) {
-    size_t swept = SweepKernelDifferential(dataset, &dict, queries, threads);
-    EXPECT_EQ(swept, queries.size()) << "threads " << threads;
-  }
+  EXPECT_EQ(SweepKernelDifferential(dataset, &dict, queries), queries.size());
 }
 
 // A tuple budget that trips mid-closure must surface as ResourceExhausted

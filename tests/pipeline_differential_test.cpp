@@ -96,32 +96,29 @@ class DifferentialTest
 
     // Planner differential: join_planner=false runs the exact pre-planner
     // pipeline (translation-order bodies, runtime join heuristic). The
-    // planner must never change the solution multiset at any thread
-    // count — and wherever ORDER BY pins row order, not the rows either.
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      core::Engine::Options off;
-      off.planner.join_planner = false;
-      off.parallelism.num_threads = threads;
-      core::Engine plain_engine(&dataset, &dict, off);
-      ASSERT_TRUE(plain_engine.Load().ok());
-      auto plain_exec = plain_engine.Execute(*parsed);
-      ASSERT_TRUE(plain_exec.ok()) << plain_exec.status().ToString();
-      const eval::QueryResult* plain = &plain_exec->result;
-      EXPECT_EQ(plain->columns, got->columns) << query_text;
-      EXPECT_EQ(plain->is_ask, got->is_ask);
-      EXPECT_EQ(plain->ask_value, got->ask_value) << query_text;
-      EXPECT_TRUE(plain->SameSolutions(*got))
-          << "planner changed solutions, seed " << seed << " threads "
-          << threads << "\nquery: " << query_text << "\nplanner-on ("
-          << got->rows.size() << " rows):\n"
-          << got->ToString(dict, 30) << "\nplanner-off ("
-          << plain->rows.size() << " rows):\n"
-          << plain->ToString(dict, 30);
-      if (!parsed->order_by.empty()) {
-        EXPECT_TRUE(plain->rows == got->rows)
-            << "planner changed ORDER BY output, seed " << seed
-            << " threads " << threads << "\nquery: " << query_text;
-      }
+    // planner must never change the solution multiset — and wherever
+    // ORDER BY pins row order, not the rows either.
+    core::Engine::Options off;
+    off.planner.join_planner = false;
+    core::Engine plain_engine(&dataset, &dict, off);
+    ASSERT_TRUE(plain_engine.Load().ok());
+    auto plain_exec = plain_engine.Execute(*parsed);
+    ASSERT_TRUE(plain_exec.ok()) << plain_exec.status().ToString();
+    const eval::QueryResult* plain = &plain_exec->result;
+    EXPECT_EQ(plain->columns, got->columns) << query_text;
+    EXPECT_EQ(plain->is_ask, got->is_ask);
+    EXPECT_EQ(plain->ask_value, got->ask_value) << query_text;
+    EXPECT_TRUE(plain->SameSolutions(*got))
+        << "planner changed solutions, seed " << seed
+        << "\nquery: " << query_text << "\nplanner-on ("
+        << got->rows.size() << " rows):\n"
+        << got->ToString(dict, 30) << "\nplanner-off ("
+        << plain->rows.size() << " rows):\n"
+        << plain->ToString(dict, 30);
+    if (!parsed->order_by.empty()) {
+      EXPECT_TRUE(plain->rows == got->rows)
+          << "planner changed ORDER BY output, seed " << seed
+          << "\nquery: " << query_text;
     }
   }
 };

@@ -202,12 +202,9 @@ TEST_P(QueryFuzzTest, PipelineAgreesWithReference) {
 
     // Planner differential: planner-off (= exact pre-planner pipeline)
     // must agree on the solution multiset, and on exact row order
-    // wherever ORDER BY pins it. Thread counts rotate per query so each
-    // seed sweeps {1, 2, 8}.
-    static constexpr uint32_t kThreads[] = {1, 2, 8};
+    // wherever ORDER BY pins it.
     core::Engine::Options planner_off = options;
     planner_off.planner.join_planner = false;
-    planner_off.parallelism.num_threads = kThreads[qi % 3];
     core::Engine plain(&dataset, &dict, planner_off);
     ASSERT_TRUE(plain.Load().ok());
     auto unplanned_exec = plain.Execute(*parsed);
@@ -218,8 +215,7 @@ TEST_P(QueryFuzzTest, PipelineAgreesWithReference) {
     EXPECT_EQ(unplanned->ask_value, got->ask_value) << text;
     EXPECT_TRUE(unplanned->SameSolutions(*got))
         << "seed " << seed << " query " << qi
-        << ": planner changed solutions (threads "
-        << planner_off.parallelism.num_threads << ")\n" << text << "\nplanner-on ("
+        << ": planner changed solutions\n" << text << "\nplanner-on ("
         << got->rows.size() << "):\n" << got->ToString(dict, 40)
         << "\nplanner-off (" << unplanned->rows.size() << "):\n"
         << unplanned->ToString(dict, 40);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/term.h"
@@ -88,6 +92,49 @@ TEST(DictionaryTest, NumericHelpers) {
   TermId b = dict.InternBoolean(true);
   EXPECT_EQ(dict.get(b).lexical, "true");
   EXPECT_EQ(dict.get(b).datatype, xsd::kBoolean);
+}
+
+/// Concurrent queries intern into one shared dictionary: every thread
+/// interns an overlapping stream of terms; a given term content must
+/// resolve to exactly one id, ids must round-trip through the lock-free
+/// get(), and the count must equal the distinct-content count. (TSan runs
+/// this suite: a racy slot publish or index stripe would surface here.)
+TEST(DictionaryTest, ConcurrentInterningIsConsistent) {
+  constexpr size_t kWorkers = 8;
+  constexpr int kDistinct = 300;
+  TermDictionary dict;
+  std::vector<std::vector<TermId>> ids(kWorkers);
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<TermId>& mine = ids[w];
+      for (int i = 0; i < kDistinct; ++i) {
+        // Overlapping across threads, interleaved kinds.
+        int k = (i + static_cast<int>(w) * 37) % kDistinct;
+        mine.push_back(dict.InternIri("http://c.org/e" + std::to_string(k)));
+        mine.push_back(dict.InternInteger(k));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  // Same content -> same id, across all threads.
+  for (size_t w = 1; w < kWorkers; ++w) {
+    for (int i = 0; i < kDistinct; ++i) {
+      int k = (i + static_cast<int>(w) * 37) % kDistinct;
+      TermId iri = dict.InternIri("http://c.org/e" + std::to_string(k));
+      TermId num = dict.InternInteger(k);
+      EXPECT_EQ(ids[w][2 * i], iri);
+      EXPECT_EQ(ids[w][2 * i + 1], num);
+    }
+  }
+  // undef + kDistinct IRIs + kDistinct integers.
+  EXPECT_EQ(dict.size(), 1u + 2u * kDistinct);
+  // Lock-free get() round-trips content.
+  for (int k = 0; k < kDistinct; ++k) {
+    auto id = dict.Lookup(Term::Iri("http://c.org/e" + std::to_string(k)));
+    ASSERT_TRUE(id.has_value());
+    EXPECT_EQ(dict.get(*id).lexical, "http://c.org/e" + std::to_string(k));
+  }
 }
 
 class GraphTest : public ::testing::Test {

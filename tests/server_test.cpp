@@ -504,6 +504,28 @@ TEST_F(ServerSocketTest, GetAndPostOverRealSocket) {
   EXPECT_NE(malformed.find("HTTP/1.1 400"), std::string::npos) << malformed;
 }
 
+/// A query nested far past the parser's depth limit (about 120 KB, well
+/// under the request cap) is a 400, not a crashed server: the next
+/// request on a fresh connection is answered normally.
+TEST_F(ServerSocketTest, HostileNestingIs400AndServerKeepsServing) {
+  const std::string body = "SELECT * WHERE " + std::string(30000, '{') +
+                           " ?s ?p ?o " + std::string(30000, '}');
+  std::string hostile = HttpRoundTrip(
+      live_->port(),
+      "POST /sparql HTTP/1.1\r\nHost: localhost\r\n"
+      "Content-Type: application/sparql-query\r\n"
+      "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body);
+  EXPECT_NE(hostile.find("HTTP/1.1 400"), std::string::npos) << hostile;
+  EXPECT_NE(hostile.find("nesting deeper than"), std::string::npos)
+      << hostile;
+
+  std::string next = HttpRoundTrip(
+      live_->port(),
+      "GET /sparql?query=ASK+%7B+%3Fs+%3Fp+%3Fo+%7D HTTP/1.1\r\n"
+      "Host: localhost\r\n\r\n");
+  EXPECT_NE(next.find("HTTP/1.1 200 OK"), std::string::npos) << next;
+}
+
 TEST_F(ServerSocketTest, ConcurrentClientsAllAnswered) {
   constexpr int kClients = 16;
   std::vector<std::thread> clients;
@@ -581,6 +603,27 @@ TEST_F(ServerSocketTest, StalledClientGets408) {
   EXPECT_NE(response.find("HTTP/1.1 408"), std::string::npos) << response;
   EXPECT_NE(response.find("request_timeout"), std::string::npos) << response;
   strict.Stop();
+}
+
+/// Stop() must never lose the wake-up of a worker that is about to wait
+/// for a connection: back-to-back start/stop cycles, each with two
+/// workers and an ephemeral port, all complete. One server runs at a
+/// time, so at most three server threads exist at once. The race window
+/// is narrow: on a 4-vCPU host the unfixed Stop() hung in two of four
+/// runs of this loop when the four ran side by side.
+TEST_F(ServerSocketTest, StartStopCyclesNeverHang) {
+  live_->Stop();
+  HttpServerOptions options;
+  options.port = 0;
+  options.num_workers = 2;
+  constexpr int kCycles = 20000;
+  for (int i = 0; i < kCycles; ++i) {
+    HttpServer server(engine_.get(), &dict_, options);
+    Status st = server.Start();
+    ASSERT_TRUE(st.ok()) << "cycle " << i << ": " << st.ToString();
+    server.Stop();
+    ASSERT_FALSE(server.running()) << "cycle " << i;
+  }
 }
 
 TEST_F(ServerSocketTest, StopIsIdempotentAndRestartable) {

@@ -327,6 +327,78 @@ TEST(FeatureAnalyzerTest, DetectsTable2Columns) {
   EXPECT_FALSE(f.minus);
 }
 
+// --- nesting depth --------------------------------------------------------
+
+/// "SELECT * WHERE " followed by `depth` nested groups around one triple
+/// pattern; the WHERE group is nesting level 1.
+std::string NestedGroups(size_t depth) {
+  return "SELECT * WHERE " + std::string(depth, '{') + " ?s ?p ?o " +
+         std::string(depth, '}');
+}
+
+/// A FILTER whose expression nests `depth` levels deep: the group is
+/// level 1, and each expression level (every bracket inside FILTER(...),
+/// then the variable) one more.
+std::string NestedFilter(size_t depth) {
+  const size_t brackets = depth - 2;
+  return "SELECT * WHERE { ?s ?p ?o FILTER(" + std::string(brackets, '(') +
+         "?o" + std::string(brackets, ')') + ") }";
+}
+
+/// A bracketed property path nesting `depth` levels deep: the group is
+/// level 1, and each path primary (every bracket, then the IRI) one more.
+std::string NestedPath(size_t depth) {
+  const size_t brackets = depth - 2;
+  return "SELECT * WHERE { ?s " + std::string(brackets, '(') +
+         "<http://ex.org/p>" + std::string(brackets, ')') + " ?o }";
+}
+
+void ExpectTooDeep(const Result<Query>& q) {
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument)
+      << q.status().ToString();
+  EXPECT_NE(q.status().message().find("at byte "), std::string::npos)
+      << q.status().ToString();
+}
+
+TEST(NestingDepthTest, AcceptsEveryKindAtTheLimit) {
+  rdf::TermDictionary dict;
+  for (const std::string& text :
+       {NestedGroups(kMaxNestingDepth), NestedFilter(kMaxNestingDepth),
+        NestedPath(kMaxNestingDepth)}) {
+    auto q = ParseQuery(text, &dict);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+  }
+}
+
+TEST(NestingDepthTest, RejectsOneLevelPastTheLimitWithBytePosition) {
+  rdf::TermDictionary dict;
+  auto groups = ParseQuery(NestedGroups(kMaxNestingDepth + 1), &dict);
+  ExpectTooDeep(groups);
+  // The offending token is the innermost '{', right after the 15-byte
+  // "SELECT * WHERE " and kMaxNestingDepth opening braces.
+  EXPECT_NE(groups.status().message().find(
+                "at byte " + std::to_string(15 + kMaxNestingDepth)),
+            std::string::npos)
+      << groups.status().ToString();
+  ExpectTooDeep(ParseQuery(NestedFilter(kMaxNestingDepth + 1), &dict));
+  ExpectTooDeep(ParseQuery(NestedPath(kMaxNestingDepth + 1), &dict));
+}
+
+/// 30k levels (about 120 KB of query, far under the server's request cap)
+/// used to overflow the stack; every kind now fails cleanly, as does a
+/// long chain of unary operators.
+TEST(NestingDepthTest, HostileDepthIsAnErrorNotACrash) {
+  rdf::TermDictionary dict;
+  constexpr size_t kHostile = 30000;
+  ExpectTooDeep(ParseQuery(NestedGroups(kHostile), &dict));
+  ExpectTooDeep(ParseQuery(NestedFilter(kHostile), &dict));
+  ExpectTooDeep(ParseQuery(NestedPath(kHostile), &dict));
+  ExpectTooDeep(ParseQuery("SELECT * WHERE { ?s ?p ?o FILTER(" +
+                               std::string(kHostile, '!') + "?o) }",
+                           &dict));
+}
+
 TEST(FeatureAnalyzerTest, UsageRowPercentages) {
   rdf::TermDictionary dict;
   std::vector<FeatureSet> sets;

@@ -1,11 +1,9 @@
 // Unit tests for the util substrate: Status/Result, string helpers,
-// deterministic RNG, the ExecContext budget machinery that powers the
-// benchmark harness's time-out / mem-out rows, and the worker pool behind
-// the parallel fixpoint.
+// deterministic RNG, and the ExecContext budget machinery that powers the
+// benchmark harness's time-out / mem-out rows.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -15,7 +13,6 @@
 #include "util/retry.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace sparqlog {
 namespace {
@@ -143,104 +140,37 @@ TEST(ExecContextTest, DeadlineTriggersTimeout) {
   EXPECT_TRUE(last.IsTimeout());
 }
 
-TEST(ExecContextTest, SharedBudgetCheckUsesCallerPhase) {
-  ExecContext ctx;
-  ctx.set_deadline_after(std::chrono::milliseconds(1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  // Two workers with independent phase counters each detect the timeout
-  // within their own clock stride; the mem-out check is phase-free.
-  for (int worker = 0; worker < 2; ++worker) {
-    uint32_t phase = 0;
-    Status last = Status::OK();
-    for (int i = 0; i < 1000 && last.ok(); ++i) {
-      last = ctx.CheckBudgetShared(&phase);
-    }
-    EXPECT_TRUE(last.IsTimeout());
-  }
-  ExecContext memout;
-  memout.set_tuple_budget(10);
-  memout.AddTuples(11);
-  uint32_t phase = 0;
-  EXPECT_TRUE(memout.CheckBudgetShared(&phase).IsResourceExhausted());
-}
-
 TEST(ExecContextTest, BatchAdvanceSamplesClockPerStrideOfWork) {
   ExecContext ctx;
   ctx.set_deadline_after(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  // A batch that crosses a stride boundary samples the clock in ONE call
-  // — this is the merge-worker recalibration: cadence follows work done
-  // (tuples merged), not call count, so a wide merge fan-out still trips
-  // an expired deadline within its round.
-  uint32_t phase = 0;
-  EXPECT_TRUE(
-      ctx.CheckBudgetShared(&phase, ExecContext::kClockStride).IsTimeout());
+  // A batch that crosses a stride boundary samples the clock in ONE call:
+  // cadence follows work done (e.g. rows a TC-kernel run appends), not
+  // call count.
+  EXPECT_TRUE(ctx.CheckBudget(ExecContext::kClockStride).IsTimeout());
   // A batch inside one stride window does not sample...
-  uint32_t phase2 = 0;
-  EXPECT_TRUE(ctx.CheckBudgetShared(&phase2, 10).ok());
-  EXPECT_EQ(phase2, 10u);
+  ExecContext ctx2;
+  ctx2.set_deadline_after(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(ctx2.CheckBudget(10).ok());
   // ...but cumulative batches that cross the boundary do.
   Status last = Status::OK();
   int batches = 0;
-  for (; batches < 100 && last.ok(); ++batches) {
-    last = ctx.CheckBudgetShared(&phase2, 100);
-  }
+  for (; batches < 100 && last.ok(); ++batches) last = ctx2.CheckBudget(100);
   EXPECT_TRUE(last.IsTimeout());
   // 10 + 100k crosses the 256 boundary at the 3rd batch.
   EXPECT_EQ(batches, 3);
 }
 
-TEST(ExecContextTest, BatchAdvanceMatchesUnitVariantSemantics) {
-  // advance=1 is exactly the historical unit check: the clock is first
-  // consulted on the kClockStride-th call.
+TEST(ExecContextTest, UnitAdvanceFirstSamplesOnStrideBoundary) {
+  // advance=1 consults the clock first on the kClockStride-th call.
   ExecContext ctx;
   ctx.set_deadline_after(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  uint32_t phase = 0;
   for (uint32_t i = 0; i + 1 < ExecContext::kClockStride; ++i) {
-    EXPECT_TRUE(ctx.CheckBudgetShared(&phase, 1).ok()) << i;
+    EXPECT_TRUE(ctx.CheckBudget().ok()) << i;
   }
-  EXPECT_TRUE(ctx.CheckBudgetShared(&phase, 1).IsTimeout());
-}
-
-TEST(ThreadPoolTest, RunsEveryWorkerExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_workers(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  pool.RunOnWorkers([&](size_t w) { ++hits[w]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, RegionsReuseWorkersAndBarrier) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  for (int region = 0; region < 50; ++region) {
-    pool.RunOnWorkers([&](size_t w) {
-      sum.fetch_add(static_cast<int>(w) + 1);
-    });
-    // RunOnWorkers is a full barrier: after it returns, all three
-    // contributions of this region are visible.
-    EXPECT_EQ(sum.load(), (region + 1) * 6);
-  }
-}
-
-TEST(ThreadPoolTest, SingleWorkerRunsInline) {
-  ThreadPool pool(1);
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.RunOnWorkers([&](size_t w) {
-    EXPECT_EQ(w, 0u);
-    seen = std::this_thread::get_id();
-  });
-  EXPECT_EQ(seen, caller);
-}
-
-TEST(ThreadPoolTest, ZeroRequestClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 1u);
-  int runs = 0;
-  pool.RunOnWorkers([&](size_t) { ++runs; });
-  EXPECT_EQ(runs, 1);
+  EXPECT_TRUE(ctx.CheckBudget().IsTimeout());
 }
 
 TEST(RetryTest, BackoffDelayIsDeterministicCappedAndJittered) {

@@ -245,7 +245,7 @@ TEST(CacheDifferentialTest, GmarkQueriesColdWarmBitIdentical) {
 
 // Planner differential over the bundled workloads: the cost-based join
 // planner must never change solution multisets (or ORDER BY row order) on
-// realistic query mixes, at any thread count. Planner-off is the exact
+// realistic query mixes. Planner-off is the exact
 // pre-planner pipeline (translation-order bodies, runtime heuristic), so
 // this pins the planner as a pure evaluation-order optimization.
 void SweepPlannerDifferential(const rdf::Dataset& dataset,
@@ -253,57 +253,51 @@ void SweepPlannerDifferential(const rdf::Dataset& dataset,
                               const std::vector<std::string>& names,
                               const std::vector<std::string>& queries,
                               size_t min_swept) {
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    core::Engine::Options on;
-    on.timeout = std::chrono::seconds(10);
-    on.tuple_budget = 4'000'000;
-    on.parallelism.num_threads = threads;
-    core::Engine::Options off = on;
-    off.planner.join_planner = false;
-    core::Engine planned(&dataset, dict, on);
-    core::Engine plain(&dataset, dict, off);
-    ASSERT_TRUE(planned.Load().ok());
-    ASSERT_TRUE(plain.Load().ok());
-    size_t swept = 0;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto parsed = sparql::ParseQuery(queries[i], dict);
-      ASSERT_TRUE(parsed.ok()) << names[i];
-      auto a = planned.Execute(*parsed);
-      auto b = plain.Execute(*parsed);
-      // A budget-class failure (timeout / mem-out) on either side leaves
-      // nothing to compare — slow hosts (Debug, sanitizers) legitimately
-      // blow the 10 s deadline on the heaviest queries, on either engine.
-      // Skip those; min_swept still enforces coverage. Any other failure
-      // is a real bug and still fails the sweep.
-      auto over_budget = [](const Status& s) {
-        return s.IsTimeout() || s.IsResourceExhausted();
-      };
-      if (over_budget(a.status()) || over_budget(b.status())) continue;
-      ASSERT_TRUE(a.ok()) << names[i] << " threads " << threads << ": "
-                          << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << names[i] << " threads " << threads << ": "
-                          << b.status().ToString();
-      EXPECT_EQ(a->result.columns, b->result.columns) << names[i];
-      EXPECT_TRUE(a->result.SameSolutions(b->result))
-          << names[i] << " threads " << threads
-          << ": planner changed solutions (" << a->result.rows.size()
-          << " vs " << b->result.rows.size() << " rows)";
-      if (!parsed->order_by.empty()) {
-        EXPECT_TRUE(a->result.rows == b->result.rows)
-            << names[i] << " threads " << threads
-            << ": planner changed ORDER BY output";
-      }
-      ++swept;
+  core::Engine::Options on;
+  on.timeout = std::chrono::seconds(10);
+  on.tuple_budget = 4'000'000;
+  core::Engine::Options off = on;
+  off.planner.join_planner = false;
+  core::Engine planned(&dataset, dict, on);
+  core::Engine plain(&dataset, dict, off);
+  ASSERT_TRUE(planned.Load().ok());
+  ASSERT_TRUE(plain.Load().ok());
+  size_t swept = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto parsed = sparql::ParseQuery(queries[i], dict);
+    ASSERT_TRUE(parsed.ok()) << names[i];
+    auto a = planned.Execute(*parsed);
+    auto b = plain.Execute(*parsed);
+    // A budget-class failure (timeout / mem-out) on either side leaves
+    // nothing to compare — slow hosts (Debug, sanitizers) legitimately
+    // blow the 10 s deadline on the heaviest queries, on either engine.
+    // Skip those; min_swept still enforces coverage. Any other failure
+    // is a real bug and still fails the sweep.
+    auto over_budget = [](const Status& s) {
+      return s.IsTimeout() || s.IsResourceExhausted();
+    };
+    if (over_budget(a.status()) || over_budget(b.status())) continue;
+    ASSERT_TRUE(a.ok()) << names[i] << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << names[i] << ": " << b.status().ToString();
+    EXPECT_EQ(a->result.columns, b->result.columns) << names[i];
+    EXPECT_TRUE(a->result.SameSolutions(b->result))
+        << names[i] << ": planner changed solutions ("
+        << a->result.rows.size() << " vs " << b->result.rows.size()
+        << " rows)";
+    if (!parsed->order_by.empty()) {
+      EXPECT_TRUE(a->result.rows == b->result.rows)
+          << names[i] << ": planner changed ORDER BY output";
     }
-    EXPECT_GE(swept, min_swept) << "threads " << threads;
-    // The planner actually ran on the planned engine...
-    EXPECT_GT(planned.stats().plans_computed, 0u);
-    // ...and never on the planner-off engine.
-    EXPECT_EQ(plain.stats().plans_computed, 0u);
+    ++swept;
   }
+  EXPECT_GE(swept, min_swept);
+  // The planner actually ran on the planned engine...
+  EXPECT_GT(planned.stats().plans_computed, 0u);
+  // ...and never on the planner-off engine.
+  EXPECT_EQ(plain.stats().plans_computed, 0u);
 }
 
-TEST(PlannerDifferentialTest, Sp2bQueriesMatchAcrossThreadCounts) {
+TEST(PlannerDifferentialTest, Sp2bQueriesMatch) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   Sp2bOptions options;
@@ -317,7 +311,7 @@ TEST(PlannerDifferentialTest, Sp2bQueriesMatchAcrossThreadCounts) {
   SweepPlannerDifferential(dataset, &dict, names, queries, 12);
 }
 
-TEST(PlannerDifferentialTest, GmarkQueriesMatchAcrossThreadCounts) {
+TEST(PlannerDifferentialTest, GmarkQueriesMatch) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   GmarkScenario scenario = GmarkTest();
@@ -361,22 +355,16 @@ TEST(CacheDifferentialTest, SparqLogSystemWarmRepeatRecordsCacheHits) {
   EXPECT_NE(line.find("plan 1c/1h"), std::string::npos) << line;
 }
 
-// The fixpoint-parallelism counters render only when a run actually
-// fanned out, so serial baselines keep the historical one-line format.
-TEST(RunnerTest, FormatCacheStatsIncludesParallelCounters) {
+// Interning contention renders only when a run actually contended, so
+// uncontended runs keep the historical one-line format.
+TEST(RunnerTest, FormatCacheStatsIncludesContention) {
   RunRecord r;
   r.program_cache_hits = 1;
   r.program_cache_misses = 1;
-  std::string serial_line = FormatCacheStats(r);
-  EXPECT_EQ(serial_line.find("par "), std::string::npos) << serial_line;
-  r.parallel_rounds = 6;
-  r.naive_rounds_sharded = 1;
-  r.staged_tuples_merged = 120;
-  r.merge_fanout_width = 4;
+  std::string quiet_line = FormatCacheStats(r);
+  EXPECT_EQ(quiet_line.find("contended"), std::string::npos) << quiet_line;
   r.interning_contention = 2;
   std::string line = FormatCacheStats(r);
-  EXPECT_NE(line.find("par 6r/1n"), std::string::npos) << line;
-  EXPECT_NE(line.find("120 merged ×4"), std::string::npos) << line;
   EXPECT_NE(line.find("2 contended"), std::string::npos) << line;
   // Planner counters render only when the planner ran.
   EXPECT_EQ(line.find("plan "), std::string::npos) << line;
