@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Docs link check: every relative markdown link and every repo-path
-reference in README.md and docs/*.md must resolve to a real file.
+reference in README.md and docs/*.md must resolve to a real file, and no
+reference may point at a line number.
 
 Checked:
   - markdown links [text](target): http(s) and pure-fragment targets are
     skipped; everything else resolves relative to the containing file
     (fragments are stripped first).
-  - inline-code repo paths like `src/datalog/relation.h`, `scripts/foo.sh`
-    or `docs/ARCHITECTURE.md:42`: recognized by a known top-level prefix,
-    resolved from the repo root. `:line` suffixes are stripped and
-    `{a,b}` alternation is expanded; references containing placeholders
-    (<...>, *, $) are ignored.
+  - inline-code repo paths like `src/datalog/relation.h` or
+    `scripts/foo.sh`: recognized by a known top-level prefix, resolved
+    from the repo root. `{a,b}` alternation is expanded; references
+    containing placeholders (<...>, *, $) are ignored.
+  - line pointers like `src/core/engine.cpp:474`, in code spans or bare
+    text: always broken, because line numbers go stale with every edit
+    and nothing notices. Name the file plus the symbol instead.
 
 Exit status: 0 = all references resolve, 1 = at least one is broken.
 """
@@ -32,6 +35,10 @@ CODE_SPAN = re.compile(r"`([^`\n]+)`")
 PATH_PREFIXES = (
     "src/", "docs/", "scripts/", "bench/", "tests/", "examples/",
     ".github/", ".claude/",
+)
+LINE_POINTER = re.compile(
+    r"(?<![\w/.-])(?:%s)[\w/.{},-]*:\d+"
+    % "|".join(re.escape(p) for p in PATH_PREFIXES)
 )
 
 
@@ -63,12 +70,18 @@ def check_file(doc):
             continue  # GitHub web path (e.g. the ../../actions CI badge)
         if not resolved.exists():
             broken.append(f"{doc.relative_to(REPO)}: link target `{target}`")
+    for pointer in LINE_POINTER.findall(text):
+        broken.append(
+            f"{doc.relative_to(REPO)}: line pointer `{pointer}` "
+            "(name the symbol instead)"
+        )
     for span in CODE_SPAN.findall(text):
         if not span.startswith(PATH_PREFIXES):
             continue
         if any(c in span for c in "<>*$ ()|"):
             continue  # placeholder / glob / prose, not a concrete path
-        ref = re.sub(r":\d+(-\d+)?$", "", span)  # strip `:line` pointers
+        # A `:line` suffix is reported above; check the path part here.
+        ref = re.sub(r":\d+(-\d+)?$", "", span)
         for candidate in expand_braces(ref):
             if not (REPO / candidate).exists():
                 broken.append(

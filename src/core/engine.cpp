@@ -578,7 +578,7 @@ Status Engine::Admit(const QueryLimits& limits) const {
   }
   const auto deadline = std::chrono::steady_clock::now() + wait_budget;
   ++queue_waiters_;
-  queued_total_.fetch_add(1, std::memory_order_relaxed);
+  counters_.queued.fetch_add(1, std::memory_order_relaxed);
   while (in_flight_.load(std::memory_order_relaxed) >= effective_cap()) {
     if (admission_cv_.wait_until(lock, deadline) ==
         std::cv_status::timeout &&
@@ -643,12 +643,12 @@ void Engine::RecordOutcomeLocked(Outcome outcome) const {
     // Lock order: admission_mu_ -> cache mutexes; the caches never call
     // back into admission.
     degraded_.store(true, std::memory_order_relaxed);
-    degrade_entries_.fetch_add(1, std::memory_order_relaxed);
+    counters_.degrade_entries.fetch_add(1, std::memory_order_relaxed);
     stratum_memo_.Clear();
     program_cache_.Clear();
   } else if (degraded && ratio <= cfg.exit_ratio) {
     degraded_.store(false, std::memory_order_relaxed);
-    degrade_exits_.fetch_add(1, std::memory_order_relaxed);
+    counters_.degrade_exits.fetch_add(1, std::memory_order_relaxed);
     // Capacity just doubled back: wake every queued waiter to re-check.
     admission_cv_.notify_all();
   }
@@ -778,29 +778,10 @@ Result<Engine::Execution> Engine::ExecuteInternal(
   qs.fixpoint = evaluator.stats();
 
   // Fold this query's fixpoint counters into the engine-lifetime totals.
-  const datalog::EvalStats& es = qs.fixpoint;
-  counters_.stratum_hits.fetch_add(es.strata_memo_hits,
-                                   std::memory_order_relaxed);
-  counters_.stratum_misses.fetch_add(es.strata_memo_misses,
-                                     std::memory_order_relaxed);
-  counters_.tuples_restored.fetch_add(es.tuples_restored,
-                                      std::memory_order_relaxed);
-  counters_.rounds.fetch_add(es.rounds, std::memory_order_relaxed);
-  counters_.tc_kernels_hit.fetch_add(es.tc_kernels_hit,
-                                     std::memory_order_relaxed);
-  counters_.tc_dense_frontiers.fetch_add(es.tc_dense_frontiers,
-                                         std::memory_order_relaxed);
-  counters_.tc_sparse_frontiers.fetch_add(es.tc_sparse_frontiers,
-                                          std::memory_order_relaxed);
-  counters_.strata_incremental.fetch_add(es.strata_incremental,
-                                         std::memory_order_relaxed);
-  counters_.strata_dred.fetch_add(es.strata_dred, std::memory_order_relaxed);
-  counters_.incremental_fallbacks.fetch_add(es.incremental_fallbacks,
-                                            std::memory_order_relaxed);
-  counters_.tuples_overdeleted.fetch_add(es.tuples_overdeleted,
-                                         std::memory_order_relaxed);
-  counters_.tuples_rederived.fetch_add(es.tuples_rederived,
-                                       std::memory_order_relaxed);
+#define SPARQLOG_FOLD(name, help) \
+  counters_.name.fetch_add(qs.fixpoint.name, std::memory_order_relaxed);
+  SPARQLOG_COUNTER_TABLE(SPARQLOG_SKIP_ROW, SPARQLOG_FOLD, SPARQLOG_SKIP_ROW)
+#undef SPARQLOG_FOLD
 
   // Planner feedback: q-error between the estimated and materialized
   // output cardinality (benchmarks watch this to keep the cost model
@@ -845,39 +826,15 @@ Result<std::string> Engine::TranslateToText(
 
 Engine::EngineStats Engine::stats() const {
   EngineStats s;
-  const auto ld = [](const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  s.queries = ld(counters_.queries);
-  s.failures = ld(counters_.failures);
-  s.rejected = ld(counters_.rejected);
+#define SPARQLOG_LOAD(name, help) \
+  s.name = counters_.name.load(std::memory_order_relaxed);
+  SPARQLOG_COUNTER_TABLE(SPARQLOG_LOAD, SPARQLOG_LOAD, SPARQLOG_SKIP_ROW)
+#undef SPARQLOG_LOAD
+  // Gauges.
   s.in_flight = in_flight_.load(std::memory_order_relaxed);
-  s.queued = queued_total_.load(std::memory_order_relaxed);
   s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.degrade_entries = degrade_entries_.load(std::memory_order_relaxed);
-  s.degrade_exits = degrade_exits_.load(std::memory_order_relaxed);
-  s.program_hits = ld(counters_.program_hits);
-  s.program_rebinds = ld(counters_.program_rebinds);
-  s.program_misses = ld(counters_.program_misses);
   s.program_evictions = program_cache_.evictions();
-  s.stratum_hits = ld(counters_.stratum_hits);
-  s.stratum_misses = ld(counters_.stratum_misses);
   s.stratum_evictions = stratum_memo_.evictions();
-  s.tuples_restored = ld(counters_.tuples_restored);
-  s.invalidations = ld(counters_.invalidations);
-  s.plans_computed = ld(counters_.plans_computed);
-  s.plan_cache_hits = ld(counters_.plan_cache_hits);
-  s.rounds = ld(counters_.rounds);
-  s.tc_kernels_hit = ld(counters_.tc_kernels_hit);
-  s.tc_dense_frontiers = ld(counters_.tc_dense_frontiers);
-  s.tc_sparse_frontiers = ld(counters_.tc_sparse_frontiers);
-  s.updates = ld(counters_.updates);
-  s.update_noops = ld(counters_.update_noops);
-  s.strata_incremental = ld(counters_.strata_incremental);
-  s.strata_dred = ld(counters_.strata_dred);
-  s.incremental_fallbacks = ld(counters_.incremental_fallbacks);
-  s.tuples_overdeleted = ld(counters_.tuples_overdeleted);
-  s.tuples_rederived = ld(counters_.tuples_rederived);
   s.interning_contention =
       dict_->intern_contention() + skolems_.intern_contention();
   return s;

@@ -17,6 +17,7 @@
 #include "eval/binding.h"
 #include "rdf/graph.h"
 #include "sparql/parser.h"
+#include "util/counters.h"
 #include "util/exec_context.h"
 
 /// \file engine.h
@@ -166,7 +167,7 @@ class Engine {
       /// DRed over-deletion bound: when a deletion cascade over-deletes
       /// more than this many tuples in one stratum, the evaluator
       /// abandons the incremental path for that stratum and recomputes
-      /// it from scratch (counted in EngineStats::incremental_fallbacks).
+      /// it from scratch (counted as an incremental fallback).
       uint64_t max_overdelete = 1ull << 20;
       /// Planner statistics are recollected once the triples touched
       /// since the last collection exceed this fraction of the triple
@@ -232,51 +233,28 @@ class Engine {
   };
 
   /// Engine-lifetime counters, aggregated across all (concurrent)
-  /// Execute calls. Snapshot of atomics — cheap, lock-free, callable
+  /// Execute calls: one field per row of the counter table
+  /// (util/counters.h). Snapshot of atomics — cheap, lock-free, callable
   /// from any thread (e.g. the server's /stats endpoint).
   struct EngineStats {
-    uint64_t queries = 0;         ///< admitted Execute calls, completed
-    uint64_t failures = 0;        ///< admitted calls that returned !ok
-    uint64_t rejected = 0;        ///< admission-control rejections (shed)
-    uint64_t in_flight = 0;       ///< currently admitted calls
-    uint64_t queued = 0;          ///< calls that waited in the admission queue
-    // Degraded-mode controller (Options::Degrade).
-    bool degraded = false;        ///< currently in degraded mode
-    uint64_t degrade_entries = 0; ///< times degraded mode was entered
-    uint64_t degrade_exits = 0;   ///< times it recovered automatically
-    // Program cache.
-    uint64_t program_hits = 0;
-    uint64_t program_rebinds = 0;
-    uint64_t program_misses = 0;
-    uint64_t program_evictions = 0;
-    // Stratum memo.
-    uint64_t stratum_hits = 0;
-    uint64_t stratum_misses = 0;
-    uint64_t stratum_evictions = 0;
-    uint64_t tuples_restored = 0;
-    /// EDB rebuilds triggered by re-Load() after a dataset mutation.
-    uint64_t invalidations = 0;
-    // Join planner.
-    uint64_t plans_computed = 0;
-    uint64_t plan_cache_hits = 0;
-    // Fixpoint rounds, summed across queries.
-    uint64_t rounds = 0;
-    // Transitive-closure kernel (datalog/tc_kernel.h; summed across
-    // queries — one "hit" is one TC-shaped stratum run by the kernel).
-    uint64_t tc_kernels_hit = 0;
-    uint64_t tc_dense_frontiers = 0;
-    uint64_t tc_sparse_frontiers = 0;
-    // Incremental maintenance (ApplyUpdate + the evaluator's delta
-    // re-derivation; strata counters are summed across queries).
-    uint64_t updates = 0;        ///< ApplyUpdate calls, completed OK
-    uint64_t update_noops = 0;   ///< updates whose net delta was empty
-    uint64_t strata_incremental = 0;  ///< strata re-derived from snapshots
-    uint64_t strata_dred = 0;         ///< incremental strata that ran DRed
-    uint64_t incremental_fallbacks = 0;  ///< DRed-bound full recomputes
-    uint64_t tuples_overdeleted = 0;
-    uint64_t tuples_rederived = 0;
-    /// Current dict + Skolem interning-contention totals.
-    uint64_t interning_contention = 0;
+#define SPARQLOG_STATS_FIELD(name, help) uint64_t name = 0;
+#define SPARQLOG_STATS_GAUGE(type, name, help) type name{};
+    SPARQLOG_COUNTER_TABLE(SPARQLOG_STATS_FIELD, SPARQLOG_STATS_FIELD,
+                           SPARQLOG_STATS_GAUGE)
+#undef SPARQLOG_STATS_FIELD
+#undef SPARQLOG_STATS_GAUGE
+
+    /// Calls `f(name, value)` for every field, in table order; `value` is
+    /// a uint64_t, or a bool for the `degraded` gauge.
+    template <typename F>
+    void ForEach(F&& f) const {
+#define SPARQLOG_STATS_VISIT(name, help) f(#name, name);
+#define SPARQLOG_STATS_VISIT_GAUGE(type, name, help) f(#name, name);
+      SPARQLOG_COUNTER_TABLE(SPARQLOG_STATS_VISIT, SPARQLOG_STATS_VISIT,
+                             SPARQLOG_STATS_VISIT_GAUGE)
+#undef SPARQLOG_STATS_VISIT
+#undef SPARQLOG_STATS_VISIT_GAUGE
+    }
   };
 
   /// What one ApplyUpdate call did.
@@ -374,31 +352,12 @@ class Engine {
   StorageStats edb_storage() const;
 
  private:
-  /// Atomic engine-lifetime counters behind EngineStats.
+  /// Atomic engine-lifetime counters behind EngineStats: the COUNTER and
+  /// FIXPOINT rows of the counter table.
   struct Counters {
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> failures{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> program_hits{0};
-    std::atomic<uint64_t> program_rebinds{0};
-    std::atomic<uint64_t> program_misses{0};
-    std::atomic<uint64_t> stratum_hits{0};
-    std::atomic<uint64_t> stratum_misses{0};
-    std::atomic<uint64_t> tuples_restored{0};
-    std::atomic<uint64_t> invalidations{0};
-    std::atomic<uint64_t> plans_computed{0};
-    std::atomic<uint64_t> plan_cache_hits{0};
-    std::atomic<uint64_t> rounds{0};
-    std::atomic<uint64_t> tc_kernels_hit{0};
-    std::atomic<uint64_t> tc_dense_frontiers{0};
-    std::atomic<uint64_t> tc_sparse_frontiers{0};
-    std::atomic<uint64_t> updates{0};
-    std::atomic<uint64_t> update_noops{0};
-    std::atomic<uint64_t> strata_incremental{0};
-    std::atomic<uint64_t> strata_dred{0};
-    std::atomic<uint64_t> incremental_fallbacks{0};
-    std::atomic<uint64_t> tuples_overdeleted{0};
-    std::atomic<uint64_t> tuples_rederived{0};
+#define SPARQLOG_ATOMIC(name, help) std::atomic<uint64_t> name{0};
+    SPARQLOG_COUNTER_TABLE(SPARQLOG_ATOMIC, SPARQLOG_ATOMIC, SPARQLOG_SKIP_ROW)
+#undef SPARQLOG_ATOMIC
   };
 
   /// What an admitted query's completion tells the degrade controller.
@@ -507,9 +466,6 @@ class Engine {
   mutable size_t outcome_count_ = 0;
   mutable uint32_t outcome_bad_ = 0;
   mutable std::atomic<bool> degraded_{false};
-  mutable std::atomic<uint64_t> queued_total_{0};
-  mutable std::atomic<uint64_t> degrade_entries_{0};
-  mutable std::atomic<uint64_t> degrade_exits_{0};
 };
 
 }  // namespace sparqlog::core

@@ -21,14 +21,28 @@ constexpr uint32_t kNoDelta = 0xffffffffu;
 /// rule's positive body with interleaved builtin execution, negation
 /// checks at the leaves, and head emission.
 struct Evaluator::RuleRun {
-  Evaluator* eval = nullptr;
-  const Rule* rule = nullptr;
-  Database* edb = nullptr;
-  Database* idb = nullptr;
-  ExecContext* ctx = nullptr;
-  uint32_t insert_round = 0;
-  uint32_t delta_round = 0;
-  uint32_t delta_atom = kNoDelta;
+  /// Heads are inserted at `insert_round`; with a `delta_atom`, that atom
+  /// scans only the rows of `delta_round`.
+  RuleRun(Evaluator* eval, const Rule* rule, Database* edb, Database* idb,
+          ExecContext* ctx, uint32_t insert_round,
+          uint32_t delta_atom = kNoDelta, uint32_t delta_round = 0)
+      : eval(eval),
+        rule(rule),
+        edb(edb),
+        idb(idb),
+        ctx(ctx),
+        insert_round(insert_round),
+        delta_round(delta_round),
+        delta_atom(delta_atom) {}
+
+  Evaluator* eval;
+  const Rule* rule;
+  Database* edb;
+  Database* idb;
+  ExecContext* ctx;
+  uint32_t insert_round;
+  uint32_t delta_round;
+  uint32_t delta_atom;
   // Incremental maintenance (see the incremental stratum block in
   // Evaluate): `delta_source` redirects the pinned delta scan away from
   // the IDB (to a scratch database of input deltas), `aux` joins as a
@@ -54,7 +68,6 @@ struct Evaluator::RuleRun {
   std::vector<Value> neg_scratch;
   Status status;
   uint64_t inserted = 0;
-  uint64_t fired = 0;
 
   size_t RelSizeOf(PredicateId pred) const {
     size_t n = 0;
@@ -279,7 +292,6 @@ struct Evaluator::RuleRun {
       ResolveTerm(t, &v);
       head_scratch.push_back(v);
     }
-    ++fired;
     Relation& rel =
         (emit_db != nullptr ? emit_db : idb)
             ->relation(rule->head.predicate,
@@ -438,13 +450,8 @@ struct Evaluator::RuleRun {
 Status Evaluator::Evaluate(const Program& program, Database* edb,
                            Database* idb, ExecContext* ctx) {
   stats_ = EvalStats();
-  // Interning contention is reported as a delta over this evaluation;
-  // both interners only ever grow their counters.
-  const uint64_t contention_start = expr_eval_.dict()->intern_contention() +
-                                    skolems_->intern_contention();
   SPARQLOG_RETURN_NOT_OK(program.Validate());
   SPARQLOG_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
-  stats_.strata = strat.num_strata;
 
   // Cross-query stratum memoization (semi-naive only: naive mode is the
   // reference semantics the differential tests compare against, and its
@@ -508,18 +515,8 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       if (!inc_ok || stratum_fp[s] == stratum_fp_old[s]) return;
       std::shared_ptr<const StratumSnapshot> old_snap =
           memo_->Lookup(stratum_fp_old[s]);
-      bool usable = old_snap != nullptr;
-      if (usable) {
-        for (const auto& rel : old_snap->relations) {
-          auto pid = program.predicates.Lookup(rel.predicate);
-          if (!pid || program.predicates.Arity(*pid) != rel.arity ||
-              rel.arity == 0) {
-            usable = false;
-            break;
-          }
-        }
-      }
-      if (!usable) {
+      if (old_snap == nullptr ||
+          !old_snap->Resolves(program.predicates, /*allow_nullary=*/false)) {
         idb_unknown.insert(stratum_heads.begin(), stratum_heads.end());
         return;
       }
@@ -567,32 +564,20 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     // Memo hit: replay the snapshot (arena order preserved; program
     // facts already seeded above dedup away) instead of evaluating.
     if (memo_ok) {
-      if (std::shared_ptr<const StratumSnapshot> snap =
-              memo_->Lookup(stratum_fp[s])) {
-        // Resolve every snapshot predicate before touching the IDB, so a
-        // (vanishingly unlikely) fingerprint collision with a foreign
-        // rule set degrades to a miss instead of corrupting results.
-        bool resolvable = true;
-        for (const auto& rel : snap->relations) {
-          auto pid = program.predicates.Lookup(rel.predicate);
-          if (!pid || program.predicates.Arity(*pid) != rel.arity) {
-            resolvable = false;
-            break;
-          }
-        }
-        if (resolvable) {
-          uint64_t restored =
-              snap->Restore(program.predicates, round, idb);
-          ctx->AddTuples(restored);
-          stats_.tuples_restored += restored;
-          ++stats_.strata_memo_hits;
-          SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
-          record_change();
-          ++round;
-          continue;
-        }
+      std::shared_ptr<const StratumSnapshot> snap =
+          memo_->Lookup(stratum_fp[s]);
+      if (snap != nullptr &&
+          snap->Resolves(program.predicates, /*allow_nullary=*/true)) {
+        uint64_t restored = snap->Restore(program.predicates, round, idb);
+        ctx->AddTuples(restored);
+        stats_.tuples_restored += restored;
+        ++stats_.stratum_hits;
+        SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
+        record_change();
+        ++round;
+        continue;
       }
-      ++stats_.strata_memo_misses;
+      ++stats_.stratum_misses;
     }
 
     // TC fast path: a stratum whose only recursive dependency is one
@@ -624,13 +609,9 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     auto attempt_incremental = [&]() -> Status {
       std::shared_ptr<const StratumSnapshot> old_snap =
           memo_->Lookup(stratum_fp_old[s]);
-      if (old_snap == nullptr) return Status::OK();
-      for (const auto& rel : old_snap->relations) {
-        auto pid = program.predicates.Lookup(rel.predicate);
-        if (!pid || program.predicates.Arity(*pid) != rel.arity ||
-            rel.arity == 0) {
-          return Status::OK();
-        }
+      if (old_snap == nullptr ||
+          !old_snap->Resolves(program.predicates, /*allow_nullary=*/false)) {
+        return Status::OK();
       }
       for (PredicateId p : stratum_heads) {
         if (program.predicates.Arity(p) == 0) return Status::OK();
@@ -757,21 +738,11 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               if (drel == nullptr) continue;
               auto [lo, hi] = drel->RoundRange(dr);
               if (lo >= hi) continue;
-              RuleRun run;
-              run.eval = this;
-              run.rule = &rule;
-              run.edb = edb;
-              run.idb = idb;
-              run.ctx = ctx;
-              run.insert_round = dr + 1;
-              run.delta_round = dr;
-              run.delta_atom = ai;
+              RuleRun run(this, &rule, edb, idb, ctx, dr + 1, ai, dr);
               run.delta_source = &aux_del;
               run.aux = &aux_del;
               run.emit_db = &aux_del;
-              Status st = run.Run();
-              stats_.rules_fired += run.fired;
-              SPARQLOG_RETURN_NOT_OK(st);
+              SPARQLOG_RETURN_NOT_OK(run.Run());
               if (run.inserted > 0) progress = true;
               overdeleted += run.inserted;
             }
@@ -840,17 +811,9 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
             for (uint32_t ri : rule_ids) {
               const Rule& rule = program.rules[ri];
               if (rule.head.predicate != dt.pred) continue;
-              RuleRun run;
-              run.eval = this;
-              run.rule = &rule;
-              run.edb = edb;
-              run.idb = idb;
-              run.ctx = ctx;
-              run.insert_round = derive_round;
+              RuleRun run(this, &rule, edb, idb, ctx, derive_round);
               run.head_binding = dt.row.data();
-              Status st = run.Run();
-              stats_.rules_fired += run.fired;
-              SPARQLOG_RETURN_NOT_OK(st);
+              SPARQLOG_RETURN_NOT_OK(run.Run());
               if (run.inserted > 0) {
                 found = true;
                 inc_new += run.inserted;
@@ -879,19 +842,9 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
              ai < static_cast<uint32_t>(rule.positive.size()); ++ai) {
           const Relation* irel = aux_ins.Find(rule.positive[ai].predicate);
           if (irel == nullptr || irel->size() == 0) continue;
-          RuleRun run;
-          run.eval = this;
-          run.rule = &rule;
-          run.edb = edb;
-          run.idb = idb;
-          run.ctx = ctx;
-          run.insert_round = derive_round;
-          run.delta_round = 0;
-          run.delta_atom = ai;
+          RuleRun run(this, &rule, edb, idb, ctx, derive_round, ai, 0);
           run.delta_source = &aux_ins;
-          Status st = run.Run();
-          stats_.rules_fired += run.fired;
-          SPARQLOG_RETURN_NOT_OK(st);
+          SPARQLOG_RETURN_NOT_OK(run.Run());
           inc_new += run.inserted;
         }
       }
@@ -907,17 +860,9 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
 
     auto run_rule = [&](uint32_t ri, uint32_t delta_atom,
                         uint32_t delta_round) -> Result<uint64_t> {
-      RuleRun run;
-      run.eval = this;
-      run.rule = &program.rules[ri];
-      run.edb = edb;
-      run.idb = idb;
-      run.ctx = ctx;
-      run.insert_round = round;
-      run.delta_round = delta_round;
-      run.delta_atom = delta_atom;
+      RuleRun run(this, &program.rules[ri], edb, idb, ctx, round, delta_atom,
+                  delta_round);
       Status st = run.Run();
-      stats_.rules_fired += run.fired;
       stats_.tuples_derived += run.inserted;
       SPARQLOG_RETURN_NOT_OK(st);
       return run.inserted;
@@ -982,7 +927,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       } else {
         ++stats_.tc_sparse_frontiers;
       }
-      stats_.rules_fired += kstats.emitted;
       stats_.tuples_derived += kstats.inserted;
       if (kstats.inserted > 0) {
         ++stats_.rounds;
@@ -1030,9 +974,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     snapshot_stratum();
     record_change();
   }
-  stats_.interning_contention = expr_eval_.dict()->intern_contention() +
-                                skolems_->intern_contention() -
-                                contention_start;
   return Status::OK();
 }
 

@@ -9,6 +9,7 @@
 #include "datalog/stratum_memo.h"
 #include "datalog/value.h"
 #include "eval/expr_eval.h"
+#include "util/counters.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -25,29 +26,18 @@
 
 namespace sparqlog::datalog {
 
-/// Evaluation statistics (exposed for benchmarks and ablations).
+/// Evaluation statistics (exposed for benchmarks and ablations). The
+/// FIXPOINT rows of the counter table (util/counters.h) are summed over
+/// one Evaluate call; the engine folds them into its lifetime totals.
 struct EvalStats {
-  uint64_t rules_fired = 0;       ///< successful head insertions
-  uint64_t tuples_derived = 0;    ///< distinct tuples added
-  uint32_t rounds = 0;            ///< total semi-naive rounds
+#define SPARQLOG_EVAL_FIELD(name, help) uint64_t name = 0;
+  SPARQLOG_COUNTER_TABLE(SPARQLOG_SKIP_ROW, SPARQLOG_EVAL_FIELD,
+                         SPARQLOG_SKIP_ROW)
+#undef SPARQLOG_EVAL_FIELD
+  uint64_t tuples_derived = 0;  ///< distinct tuples added
   /// Always 0: every round runs serially on the calling thread. Kept so
   /// existing benchmark reports that read it still compile.
   uint32_t parallel_rounds = 0;
-  uint32_t strata = 0;
-  uint32_t strata_memo_hits = 0;    ///< strata restored from the memo
-  uint32_t strata_memo_misses = 0;  ///< fingerprinted strata evaluated
-  uint64_t tuples_restored = 0;     ///< tuples re-inserted from snapshots
-  uint64_t interning_contention = 0;  ///< dict+Skolem lock contention delta
-  // Transitive-closure kernel observability (see tc_kernel.h).
-  uint32_t tc_kernels_hit = 0;        ///< TC-shaped strata run by the kernel
-  uint32_t tc_dense_frontiers = 0;    ///< kernel runs with bitset frontiers
-  uint32_t tc_sparse_frontiers = 0;   ///< kernel runs with sorted-vector ones
-  // Incremental maintenance (incremental.h + the engine's ApplyUpdate).
-  uint32_t strata_incremental = 0;    ///< strata re-derived from an old snapshot
-  uint32_t strata_dred = 0;           ///< incremental strata that ran DRed
-  uint32_t incremental_fallbacks = 0; ///< DRed-bound aborts → full recompute
-  uint64_t tuples_overdeleted = 0;    ///< DRed over-deletions before re-derive
-  uint64_t tuples_rederived = 0;      ///< over-deleted tuples derived back
 };
 
 /// Evaluation strategy knob for the micro-ablation benchmark: naive mode

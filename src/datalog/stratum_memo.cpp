@@ -19,6 +19,18 @@ void StratumSnapshot::Capture(std::string predicate, const Relation& rel) {
   relations.push_back(std::move(rs));
 }
 
+bool StratumSnapshot::Resolves(const PredicateTable& preds,
+                               bool allow_nullary) const {
+  for (const RelationSnapshot& rel : relations) {
+    auto pid = preds.Lookup(rel.predicate);
+    if (!pid || preds.Arity(*pid) != rel.arity ||
+        (rel.arity == 0 && !allow_nullary)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 uint64_t StratumSnapshot::Restore(const PredicateTable& preds, uint32_t round,
                                   Database* idb) const {
   uint64_t restored = 0;

@@ -59,15 +59,19 @@ struct StratumSnapshot {
   /// Appends `rel`'s rows (arena order, flat) as one RelationSnapshot.
   void Capture(std::string predicate, const Relation& rel);
 
+  /// True when every captured relation names a predicate of `preds` with
+  /// the same arity, and, unless `allow_nullary`, a non-zero one. The
+  /// evaluator checks this before touching the IDB, so a fingerprint
+  /// collision with a foreign rule set degrades to a memo miss.
+  bool Resolves(const PredicateTable& preds, bool allow_nullary) const;
+
   /// Replays every captured relation into `idb`, resolving predicates by
-  /// name through `preds`, tagging rows with `round`. Precondition: the
-  /// caller has verified every snapshot predicate resolves in `preds`
-  /// with matching arity (the evaluator's `resolvable` pre-check, which
-  /// degrades a fingerprint collision to a memo miss); asserted in debug
-  /// builds. Snapshots store rows in the flat staged layout, so each
-  /// relation restores through one InsertStaged batch (one stride
-  /// dispatch, not one per row). Returns the number of rows actually
-  /// inserted (program facts seeded earlier dedup away).
+  /// name through `preds`, tagging rows with `round`. Precondition:
+  /// `Resolves(preds, true)`; asserted in debug builds. Snapshots store
+  /// rows in the flat staged layout, so each relation restores through
+  /// one InsertStaged batch (one stride dispatch, not one per row).
+  /// Returns the number of rows actually inserted (program facts seeded
+  /// earlier dedup away).
   uint64_t Restore(const PredicateTable& preds, uint32_t round,
                    Database* idb) const;
 

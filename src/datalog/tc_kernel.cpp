@@ -478,7 +478,6 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
     // batch per group.
     group_new.clear();
     auto emit = [&](uint32_t node) -> Status {
-      ++out.emitted;
       if (!seed_filter.Contains(node)) {
         group_new.push_back(node);
         if (ctx->tuples_used() + staged_rows + group_new.size() >

@@ -79,32 +79,4 @@ std::string FormatTime(const RunRecord& r, bool total) {
   return StringPrintf("%.4f", total ? r.total_seconds() : r.exec_seconds);
 }
 
-std::string FormatCacheStats(const RunRecord& r) {
-  std::string out = StringPrintf(
-      "Tq %lluh/%llur/%llum · strata %lluh/%llum · %llu tuples restored",
-      static_cast<unsigned long long>(r.program_cache_hits),
-      static_cast<unsigned long long>(r.program_cache_rebinds),
-      static_cast<unsigned long long>(r.program_cache_misses),
-      static_cast<unsigned long long>(r.stratum_memo_hits),
-      static_cast<unsigned long long>(r.stratum_memo_misses),
-      static_cast<unsigned long long>(r.tuples_restored));
-  if (r.interning_contention > 0) {
-    out += StringPrintf(
-        " · %llu contended",
-        static_cast<unsigned long long>(r.interning_contention));
-  }
-  if (r.plans_computed > 0 || r.plan_cache_hits > 0) {
-    out += StringPrintf(
-        " · plan %lluc/%lluh q%.2g",
-        static_cast<unsigned long long>(r.plans_computed),
-        static_cast<unsigned long long>(r.plan_cache_hits),
-        r.plan_estimate_error);
-  }
-  if (r.tc_kernels_hit > 0) {
-    out += StringPrintf(" · tc %uk (%ud/%us)", r.tc_kernels_hit,
-                        r.tc_dense_frontiers, r.tc_sparse_frontiers);
-  }
-  return out;
-}
-
 }  // namespace sparqlog::workloads

@@ -64,29 +64,6 @@ class SparqLogSystem : public System {
     RunRecord r;
     r.load_seconds = load_s;
     r.exec_seconds = exec_s;
-    r.plan_estimate_error = result->stats.plan_estimate_error;
-    if (limits_.warm_repeat) {
-      // Serving scenario: the same query again on the warm engine — the
-      // program cache and stratum memo carry it.
-      Stopwatch warm_watch;
-      auto warm = engine.ExecuteText(query_text);
-      if (!warm.ok()) return Fail(warm.status(), load_s, exec_s);
-      r.warm_exec_seconds = warm_watch.ElapsedSeconds();
-      r.plan_estimate_error = warm->stats.plan_estimate_error;
-    }
-    core::Engine::EngineStats es = engine.stats();
-    r.program_cache_hits = es.program_hits;
-    r.program_cache_rebinds = es.program_rebinds;
-    r.program_cache_misses = es.program_misses;
-    r.stratum_memo_hits = es.stratum_hits;
-    r.stratum_memo_misses = es.stratum_misses;
-    r.tuples_restored = es.tuples_restored;
-    r.interning_contention = es.interning_contention;
-    r.plans_computed = es.plans_computed;
-    r.plan_cache_hits = es.plan_cache_hits;
-    r.tc_kernels_hit = static_cast<uint32_t>(es.tc_kernels_hit);
-    r.tc_dense_frontiers = static_cast<uint32_t>(es.tc_dense_frontiers);
-    r.tc_sparse_frontiers = static_cast<uint32_t>(es.tc_sparse_frontiers);
     r.result = std::move(std::move(result).ValueOrDie().result);
     return r;
   }

@@ -16,6 +16,7 @@
 #include "rdf/graph.h"
 #include "rdf/turtle_parser.h"
 #include "server/http_server.h"
+#include "util/counters.h"
 #include "util/hash.h"
 
 namespace sparqlog {
@@ -582,6 +583,57 @@ TEST(IncrementalHttpTest, ReadOnlyServerRejectsUpdates) {
   EXPECT_EQ(response.status, 403);
   EXPECT_NE(response.body.find("read_only"), std::string::npos)
       << response.body;
+}
+
+// The per-query fold: for every FIXPOINT row of the counter table, the
+// engine-lifetime total equals the sum of the per-query values, across a
+// cold query, a warm repeat (memo restore), a closure (TC kernel) and the
+// re-queries after an update (incremental strata, DRed).
+TEST(EngineStatsFoldTest, FixpointTotalsEqualSumOfPerQueryStats) {
+  rdf::TermDictionary dict;
+  rdf::Dataset dataset(&dict);
+  rdf::TermId p = Pred(&dict, "p");
+  rdf::TermId q = Pred(&dict, "q");
+  for (size_t i = 0; i < 4; ++i) {
+    dataset.default_graph().Add(Node(&dict, i), p, Node(&dict, i + 1));
+  }
+  dataset.default_graph().Add(Node(&dict, 1), q, Node(&dict, 7));
+  dataset.default_graph().Add(Node(&dict, 2), q, Node(&dict, 8));
+  Engine engine(&dataset, &dict);
+  ASSERT_TRUE(engine.Load().ok());
+
+  datalog::EvalStats sum;
+  auto run = [&](const char* query) {
+    auto r = engine.ExecuteText(kPrefix + std::string(query));
+    ASSERT_TRUE(r.ok()) << query << "\n" << r.status().ToString();
+#define SPARQLOG_ADD(name, help) sum.name += r->stats.fixpoint.name;
+    SPARQLOG_COUNTER_TABLE(SPARQLOG_SKIP_ROW, SPARQLOG_ADD, SPARQLOG_SKIP_ROW)
+#undef SPARQLOG_ADD
+  };
+  const char* join = "SELECT ?a ?c WHERE { ?a r:p ?b . ?b r:q ?c }";
+  const char* closure = "SELECT ?x ?y WHERE { ?x r:p+ ?y }";
+  run(join);
+  run(join);  // warm repeat
+  run(closure);
+  ASSERT_TRUE(engine
+                  .ApplyUpdate({{Node(&dict, 4), p, Node(&dict, 5)},
+                                {Node(&dict, 3), q, Node(&dict, 9)}},
+                               {{Node(&dict, 1), q, Node(&dict, 7)}})
+                  .ok());
+  run(join);
+  run(closure);
+
+  const Engine::EngineStats total = engine.stats();
+#define SPARQLOG_EXPECT_FOLDED(name, help) \
+  EXPECT_EQ(total.name, sum.name) << #name;
+  SPARQLOG_COUNTER_TABLE(SPARQLOG_SKIP_ROW, SPARQLOG_EXPECT_FOLDED,
+                         SPARQLOG_SKIP_ROW)
+#undef SPARQLOG_EXPECT_FOLDED
+  EXPECT_GT(total.stratum_hits, 0u);
+  EXPECT_GT(total.tuples_restored, 0u);
+  EXPECT_GT(total.tc_kernels_hit, 0u);
+  EXPECT_GT(total.strata_incremental, 0u);
+  EXPECT_GT(total.strata_dred, 0u);
 }
 
 }  // namespace

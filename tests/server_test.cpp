@@ -231,6 +231,41 @@ TEST_F(ServerRoutingTest, StatsAndHealthRoutes) {
   EXPECT_NE(health.body.find("\"loaded\":true"), std::string::npos);
 }
 
+// Pins the /stats wire format: every counter key by name, plus the
+// storage object, and nothing else (values are numbers or bools, so each
+// `":` opens exactly one key).
+TEST_F(ServerRoutingTest, StatsEmitsEveryCounterKey) {
+  HttpResponse stats = Get("/stats");
+  ASSERT_EQ(stats.status, 200);
+  const char* keys[] = {
+      "queries",          "failures",           "rejected",
+      "in_flight",        "queued",             "degraded",
+      "degrade_entries",  "degrade_exits",      "program_hits",
+      "program_rebinds",  "program_misses",     "program_evictions",
+      "stratum_hits",     "stratum_misses",     "stratum_evictions",
+      "tuples_restored",  "invalidations",      "plans_computed",
+      "plan_cache_hits",  "rounds",             "interning_contention",
+      "tc_kernels_hit",   "tc_dense_frontiers", "tc_sparse_frontiers",
+      "updates",          "update_noops",       "strata_incremental",
+      "strata_dred",      "incremental_fallbacks",
+      "tuples_overdeleted", "tuples_rederived"};
+  ASSERT_EQ(std::size(keys), 31u);
+  for (const char* key : keys) {
+    EXPECT_NE(stats.body.find("\"" + std::string(key) + "\":"),
+              std::string::npos)
+        << key << " missing from " << stats.body;
+  }
+  EXPECT_NE(stats.body.find("\"storage\":{\"tuples\":"), std::string::npos)
+      << stats.body;
+  EXPECT_NE(stats.body.find("\"bytes\":"), std::string::npos) << stats.body;
+  size_t key_count = 0;
+  for (size_t pos = stats.body.find("\":"); pos != std::string::npos;
+       pos = stats.body.find("\":", pos + 2)) {
+    ++key_count;
+  }
+  EXPECT_EQ(key_count, std::size(keys) + 3) << stats.body;
+}
+
 // --- Status -> HTTP mapping ------------------------------------------------
 
 // Table-driven over EVERY StatusCode: each code's HTTP rendering is a

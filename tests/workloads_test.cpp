@@ -324,58 +324,6 @@ TEST(PlannerDifferentialTest, GmarkQueriesMatch) {
   SweepPlannerDifferential(dataset, &dict, names, queries, 30);
 }
 
-// The warm-repeat serving mode of the SparqLog adapter: Run() re-executes
-// the query on the warm engine, records the warm timing and real cache
-// hits, and FormatCacheStats renders them for harness tables.
-TEST(CacheDifferentialTest, SparqLogSystemWarmRepeatRecordsCacheHits) {
-  rdf::TermDictionary dict;
-  rdf::Dataset dataset(&dict);
-  Sp2bOptions options;
-  options.target_triples = 400;
-  GenerateSp2b(options, &dataset);
-  Limits limits;
-  limits.timeout_ms = 10000;
-  limits.warm_repeat = true;
-
-  auto system = MakeSparqLogSystem(&dataset, &dict, limits);
-  RunRecord r = system->Run(
-      Sp2bPrefixes() + "SELECT ?j WHERE { ?j rdf:type bench:Journal }");
-  ASSERT_TRUE(r.ok()) << r.message;
-  EXPECT_GE(r.warm_exec_seconds, 0.0);
-  EXPECT_EQ(r.program_cache_hits, 1u);
-  EXPECT_EQ(r.program_cache_misses, 1u);
-  EXPECT_GT(r.stratum_memo_hits, 0u);
-  EXPECT_GT(r.tuples_restored, 0u);
-  // The cold run planned once; the warm repeat reused the cached plan.
-  EXPECT_EQ(r.plans_computed, 1u);
-  EXPECT_EQ(r.plan_cache_hits, 1u);
-  EXPECT_GE(r.plan_estimate_error, 1.0);
-  std::string line = FormatCacheStats(r);
-  EXPECT_NE(line.find("Tq 1h/0r/1m"), std::string::npos) << line;
-  EXPECT_NE(line.find("plan 1c/1h"), std::string::npos) << line;
-}
-
-// Interning contention renders only when a run actually contended, so
-// uncontended runs keep the historical one-line format.
-TEST(RunnerTest, FormatCacheStatsIncludesContention) {
-  RunRecord r;
-  r.program_cache_hits = 1;
-  r.program_cache_misses = 1;
-  std::string quiet_line = FormatCacheStats(r);
-  EXPECT_EQ(quiet_line.find("contended"), std::string::npos) << quiet_line;
-  r.interning_contention = 2;
-  std::string line = FormatCacheStats(r);
-  EXPECT_NE(line.find("2 contended"), std::string::npos) << line;
-  // Planner counters render only when the planner ran.
-  EXPECT_EQ(line.find("plan "), std::string::npos) << line;
-  r.plans_computed = 2;
-  r.plan_cache_hits = 1;
-  r.plan_estimate_error = 1.5;
-  std::string planned_line = FormatCacheStats(r);
-  EXPECT_NE(planned_line.find("plan 2c/1h q1.5"), std::string::npos)
-      << planned_line;
-}
-
 TEST(RunnerTest, OutcomeClassification) {
   EXPECT_EQ(ClassifyStatus(Status::OK()), Outcome::kOk);
   EXPECT_EQ(ClassifyStatus(Status::Timeout("t")), Outcome::kTimeout);
