@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Docs link check: every relative markdown link and every repo-path
-reference in README.md and docs/*.md must resolve to a real file, and no
-reference may point at a line number.
+reference in README.md and docs/*.md must resolve to a real file, every
+qualified symbol name must name something in src/, and no reference may
+point at a line number.
 
 Checked:
   - markdown links [text](target): http(s) and pure-fragment targets are
@@ -14,6 +15,11 @@ Checked:
   - line pointers like `src/core/engine.cpp:474`, in code spans or bare
     text: always broken, because line numbers go stale with every edit
     and nothing notices. Name the file plus the symbol instead.
+  - qualified symbol names like `Evaluator::Evaluate` or
+    `Engine::Options::fixpoint.tc_kernel` inside code spans: the last
+    `::` component must occur as an identifier somewhere under src/, so
+    a renamed or deleted symbol cannot stay cited (`std::` names are
+    skipped).
 
 Exit status: 0 = all references resolve, 1 = at least one is broken.
 """
@@ -41,6 +47,19 @@ LINE_POINTER = re.compile(
     % "|".join(re.escape(p) for p in PATH_PREFIXES)
 )
 
+# `A::B` (any depth) inside a code span; `~` admits destructors.
+QUALIFIED = re.compile(r"[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def source_identifiers():
+    """Every identifier token in the C++ sources under src/."""
+    names = set()
+    for path in (REPO / "src").rglob("*"):
+        if path.suffix in (".h", ".cpp"):
+            names.update(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+    return names
+
 
 def expand_braces(ref):
     """`a.{h,cpp}` -> [`a.h`, `a.cpp`] (single level is all docs use)."""
@@ -56,7 +75,7 @@ def expand_braces(ref):
     )
 
 
-def check_file(doc):
+def check_file(doc, identifiers):
     broken = []
     text = doc.read_text(encoding="utf-8")
     for target in MD_LINK.findall(text):
@@ -76,6 +95,13 @@ def check_file(doc):
             "(name the symbol instead)"
         )
     for span in CODE_SPAN.findall(text):
+        for name in QUALIFIED.findall(span):
+            last = name.rsplit("::", 1)[1].lstrip("~")
+            if not name.startswith("std::") and last not in identifiers:
+                broken.append(
+                    f"{doc.relative_to(REPO)}: symbol reference `{name}` "
+                    f"(`{last}` occurs nowhere under src/)"
+                )
         if not span.startswith(PATH_PREFIXES):
             continue
         if any(c in span for c in "<>*$ ()|"):
@@ -97,8 +123,9 @@ def main():
         print(f"check_docs: doc set incomplete: {missing_docs}")
         return 1
     broken = []
+    identifiers = source_identifiers()
     for doc in DOC_FILES:
-        broken.extend(check_file(doc))
+        broken.extend(check_file(doc, identifiers))
     if broken:
         print(f"check_docs: FAIL — {len(broken)} broken reference(s):")
         for b in broken:

@@ -22,6 +22,14 @@ SPARQLOG_FAILPOINT_DEFINE(g_fp_update_translate, "engine.update.translate");
 SPARQLOG_FAILPOINT_DEFINE(g_fp_update_stage, "engine.update.stage");
 SPARQLOG_FAILPOINT_DEFINE(g_fp_update_publish, "engine.update.publish");
 
+/// Planner statistics over `edb`.
+datalog::EdbStats CollectEdbStats(const datalog::Database& edb) {
+  datalog::PredicateTable scratch;
+  datalog::EdbStats stats;
+  stats.Collect(edb, InternEdbPredicates(&scratch).triple);
+  return stats;
+}
+
 /// CPU seconds consumed by the calling thread, which runs the whole
 /// query; a server compares it against wall time per query.
 double ThreadCpuSeconds() {
@@ -56,11 +64,17 @@ Status Engine::Load() {
   SPARQLOG_RETURN_NOT_OK(
       DataTranslator::Translate(*dataset_, dict_, &fresh, options_.edb_build));
   SPARQLOG_FAILPOINT(g_fp_load_publish);
+  PublishEdb(std::move(fresh), generation);
+  loaded_.store(true, std::memory_order_release);
+  return Status::OK();
+}
+
+void Engine::PublishEdb(datalog::Database fresh, uint64_t generation) {
   if (loaded_.load(std::memory_order_relaxed)) {
-    // Re-Load over a mutated dataset: the materialized EDB and every
-    // memoized stratum result derived from it are stale. In-flight
-    // queries finished before we got the exclusive lock; they saw the
-    // previous snapshot consistently.
+    // Replacing a published EDB: it and every memoized stratum result
+    // derived from it are stale. In-flight queries finished before the
+    // caller got the exclusive lock; they saw the previous snapshot
+    // consistently.
     stratum_memo_.Clear();
     counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -80,14 +94,9 @@ Status Engine::Load() {
   // Planner statistics ride every (re)build, stamped with the dataset
   // generation so cached plans can tell they went stale.
   if (options_.planner.join_planner) {
-    datalog::PredicateTable scratch;
-    EdbPredicates preds = InternEdbPredicates(&scratch);
-    edb_stats_ = datalog::EdbStats();
-    edb_stats_.Collect(edb_, preds.triple);
-    edb_stats_.set_generation(loaded_generation_);
+    edb_stats_ = CollectEdbStats(edb_);
+    edb_stats_.set_generation(generation);
   }
-  loaded_.store(true, std::memory_order_release);
-  return Status::OK();
 }
 
 void Engine::BuildOccurrenceCounters() {
@@ -178,9 +187,6 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
   // the incremental path. Both publish via the full rebuild.
   const bool incremental = options_.update.incremental &&
                            dataset_->Generation() == loaded_generation_;
-  datalog::PredicateTable scratch;
-  EdbPredicates preds = InternEdbPredicates(&scratch);
-
   if (!incremental) {
     // The translator reads the dataset, so the graph must mutate first;
     // a failed rebuild un-applies the delta, putting the graph's content
@@ -199,28 +205,14 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
       graph.ApplyDelta(net_del, net_ins);
       return finish(st);
     }
-    edb_ = std::move(fresh);
-    stratum_memo_.Clear();
-    counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
-    loaded_generation_ = dataset_->Generation();
-    edb_base_fp_ = loaded_generation_;
-    edb_versions_.clear();
-    edb_prev_versions_.clear();
-    pending_delta_.reset();
-    occ_built_ = false;
-    term_occ_.clear();
-    so_occ_.clear();
-    delta_since_stats_ = 0;
-    if (options_.planner.join_planner) {
-      edb_stats_ = datalog::EdbStats();
-      edb_stats_.Collect(edb_, preds.triple);
-      edb_stats_.set_generation(loaded_generation_);
-    }
+    PublishEdb(std::move(fresh), dataset_->Generation());
     return finish(Status::OK());
   }
 
   // ---- Incremental publish -------------------------------------------
   us.incremental = true;
+  datalog::PredicateTable scratch;
+  EdbPredicates preds = InternEdbPredicates(&scratch);
   if (!occ_built_) {
     BuildOccurrenceCounters();
     occ_built_ = true;
@@ -426,8 +418,7 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
     const uint64_t triple_count = triples == nullptr ? 0 : triples->size();
     if (double(delta_since_stats_) >
         options_.update.stats_refresh_fraction * double(triple_count)) {
-      edb_stats_ = datalog::EdbStats();
-      edb_stats_.Collect(edb_, preds.triple);
+      edb_stats_ = CollectEdbStats(edb_);
       delta_since_stats_ = 0;
     }
     // Re-stamp either way: cached plans check the stats generation, and
@@ -690,9 +681,7 @@ Result<Engine::Execution> Engine::Execute(const sparql::Query& query,
           scoped, dict_, &scoped_edb, options_.edb_build));
       datalog::EdbStats scoped_stats;
       if (options_.planner.join_planner) {
-        datalog::PredicateTable scratch;
-        EdbPredicates preds = InternEdbPredicates(&scratch);
-        scoped_stats.Collect(scoped_edb, preds.triple);
+        scoped_stats = CollectEdbStats(scoped_edb);
       }
       return ExecuteInternal(query, &scoped_edb,
                              options_.planner.join_planner ? &scoped_stats
@@ -765,14 +754,14 @@ Result<Engine::Execution> Engine::ExecuteInternal(
     // refine it with per-predicate versions instead of moving it, so
     // strata over untouched predicates keep their snapshots. The latest
     // update's delta (if any) enables snapshot re-derivation.
-    evaluator.set_stratum_memo(&stratum_memo_, edb_base_fp_);
-    datalog::Evaluator::IncrementalInput inc;
-    inc.delta = pending_delta_;
-    inc.versions = &edb_versions_;
-    inc.prev_versions = pending_delta_ != nullptr ? &edb_prev_versions_
-                                                  : nullptr;
-    inc.max_overdelete = options_.update.max_overdelete;
-    evaluator.set_incremental(std::move(inc));
+    evaluator.set_stratum_memo(
+        {.memo = &stratum_memo_,
+         .dataset_fp = edb_base_fp_,
+         .versions = &edb_versions_,
+         .delta = pending_delta_,
+         .prev_versions =
+             pending_delta_ != nullptr ? &edb_prev_versions_ : nullptr,
+         .max_overdelete = options_.update.max_overdelete});
   }
   SPARQLOG_RETURN_NOT_OK(evaluator.Evaluate(*program, edb, &idb, &ctx));
   qs.fixpoint = evaluator.stats();

@@ -398,6 +398,9 @@ class Engine {
   /// Rebuilds the occurrence counters (`term_occ_`, `so_occ_`) from the
   /// whole dataset; called lazily by the first incremental ApplyUpdate.
   void BuildOccurrenceCounters();
+  /// Publishes a freshly translated EDB of dataset `generation` (Load and
+  /// the full-rebuild update path; caller holds `state_mu_` exclusively).
+  void PublishEdb(datalog::Database fresh, uint64_t generation);
 
   const rdf::Dataset* dataset_;
   /// Non-null only for mutable-dataset engines; aliases `dataset_`.

@@ -15,6 +15,20 @@ SPARQLOG_FAILPOINT_DEFINE(g_fp_stratum_begin, "datalog.stratum.begin");
 
 constexpr uint32_t kNoDelta = 0xffffffffu;
 
+/// Inserts the program facts (only those of `heads`, when given) into
+/// `db` at round 0; returns how many were new.
+uint64_t SeedFacts(const Program& program,
+                   const std::unordered_set<PredicateId>* heads,
+                   Database* db) {
+  uint64_t inserted = 0;
+  for (const Fact& f : program.facts) {
+    if (heads != nullptr && heads->count(f.predicate) == 0) continue;
+    const auto arity = static_cast<uint32_t>(f.tuple.size());
+    inserted += db->relation(f.predicate, arity).Insert(f.tuple, 0);
+  }
+  return inserted;
+}
+
 }  // namespace
 
 /// Per-rule-invocation execution state: one backtracking join over the
@@ -43,11 +57,11 @@ struct Evaluator::RuleRun {
   uint32_t insert_round;
   uint32_t delta_round;
   uint32_t delta_atom;
-  // Incremental maintenance (see the incremental stratum block in
-  // Evaluate): `delta_source` redirects the pinned delta scan away from
-  // the IDB (to a scratch database of input deltas), `aux` joins as a
-  // third non-delta source on top of EDB+IDB (the over-delete pass
-  // over-approximates the pre-update state with current ∪ deleted),
+  // Incremental maintenance (see Pass::Incremental and Pass::Dred):
+  // `delta_source` redirects the pinned delta scan away from the IDB (to
+  // a scratch database of input deltas), `aux` joins as a third non-delta
+  // source on top of EDB+IDB (the over-delete pass over-approximates the
+  // pre-update state with current ∪ deleted),
   // `emit_db` redirects head emission (over-deleted heads accumulate in
   // the scratch database, not the IDB), and `head_binding` pre-binds the
   // head tuple (DRed re-derivation asks "is exactly this tuple still
@@ -447,532 +461,490 @@ struct Evaluator::RuleRun {
   }
 };
 
+/// One stratum and what the dispatch decides on.
+struct Evaluator::Stratum {
+  Stratum(const Program& program, const Stratification& strat, uint32_t s)
+      : index(s),
+        rules(strat.strata_rules[s]),
+        recursive(strat.stratum_recursive[s]) {
+    for (uint32_t ri : rules) heads.insert(program.rules[ri].head.predicate);
+  }
+
+  uint32_t index;
+  const std::vector<uint32_t>& rules;
+  bool recursive;
+  /// Head predicates defined here (delta candidates; also the unit of
+  /// incremental change tracking).
+  std::unordered_set<PredicateId> heads;
+  /// Set when the TC kernel can close the stratum.
+  std::optional<TcShape> tc;
+};
+
+/// Per-Evaluate-call state: the four stratum strategies (Evaluate hands
+/// each stratum to the first that takes it) and the steps they share.
+struct Evaluator::Pass {
+  Pass(Evaluator* eval, const Program& program, const Stratification& strat,
+       Database* edb, Database* idb, ExecContext* ctx)
+      : eval(eval),
+        in(eval->memo_),
+        program(program),
+        edb(edb),
+        idb(idb),
+        ctx(ctx),
+        stats(eval->stats_) {
+    if (!memo) return;
+    fp = StratumFingerprints(program, strat, *eval->skolems_, in.dataset_fp,
+                             in.versions);
+    if (incremental) {
+      fp_old = StratumFingerprints(program, strat, *eval->skolems_,
+                                   in.dataset_fp, in.prev_versions);
+    }
+  }
+
+  Evaluator* eval;
+  const MemoInput& in;
+  const Program& program;
+  Database* edb;
+  Database* idb;
+  ExecContext* ctx;
+  EvalStats& stats;
+  /// Cross-query stratum memoization (semi-naive only: naive mode is the
+  /// reference semantics the differential tests compare against, and its
+  /// arena insertion order differs), keyed by `fp`.
+  const bool memo =
+      in.memo != nullptr && eval->mode_ == FixpointMode::kSemiNaive;
+  /// Incremental maintenance: `fp_old` are the fingerprints under the
+  /// versions before the latest update, which its pre-update snapshots
+  /// were stored under. IDB input changes propagate through the composed
+  /// fingerprints, so fp == fp_old means "all transitive inputs
+  /// unchanged".
+  const bool incremental =
+      memo && in.delta != nullptr && in.prev_versions != nullptr;
+  std::vector<uint64_t> fp;
+  std::vector<uint64_t> fp_old;
+  /// Downstream change propagation: after each stratum whose fingerprint
+  /// changed, its head relations are diffed against the pre-update
+  /// snapshot; the diffs become the IDB input deltas of later strata. A
+  /// head whose diff can't be computed lands in `idb_unknown`, which
+  /// poisons downstream eligibility, never correctness.
+  std::unordered_map<PredicateId, EdbDelta::PredicateDelta> idb_delta;
+  std::unordered_set<PredicateId> idb_unknown;
+  uint32_t round = 1;
+
+  // (1) Memo restore: replay the stratum's snapshot (arena order
+  // preserved; program facts already seeded dedup away) instead of
+  // evaluating it.
+  Result<bool> MemoRestore(const Stratum& st) {
+    if (!memo) return false;
+    std::shared_ptr<const StratumSnapshot> snap = in.memo->Lookup(fp[st.index]);
+    if (snap == nullptr ||
+        !snap->Resolves(program.predicates, /*allow_nullary=*/true)) {
+      ++stats.stratum_misses;
+      return false;
+    }
+    ++stats.stratum_hits;
+    SPARQLOG_RETURN_NOT_OK(RestoreSnapshot(*snap));
+    return true;
+  }
+
+  // (2) Incremental: a memo miss whose pre-update snapshot survives is
+  // restored, then brought to the new fixpoint from the input deltas
+  // alone. Deletions run DRed first; then one delta pass pinned to the
+  // inserted input rows (the remaining atoms see the full new state, EDB
+  // deltas included, so multi-atom all-new derivations are covered).
+  // Everything derived here sits at one round, which the semi-naive
+  // rounds of a recursive stratum scan as their first delta. Unknown
+  // (undiffable) inputs, arity mismatches, and negation over a changed
+  // predicate all disqualify — DRed handles stratified negation only
+  // when the negated side is stable.
+  Result<bool> Incremental(const Stratum& st) {
+    if (!incremental || fp[st.index] == fp_old[st.index]) return false;
+    std::shared_ptr<const StratumSnapshot> old_snap = PreviousSnapshot(st);
+    if (old_snap == nullptr) return false;
+
+    // Scratch databases holding the input deltas at round 0. `aux_del`
+    // additionally accumulates over-deleted head tuples (rounds >= 1).
+    Database aux_ins;
+    Database aux_del;
+    std::unordered_set<PredicateId> seen_inputs;
+    bool eligible = true;
+    uint64_t del_rows = 0;
+    for (uint32_t ri : st.rules) {
+      const Rule& rule = program.rules[ri];
+      for (const Atom& a : rule.positive) {
+        PredicateId p = a.predicate;
+        if (st.heads.count(p) != 0 || !seen_inputs.insert(p).second) continue;
+        const EdbDelta::PredicateDelta* d = InputDelta(p, &eligible);
+        if (!eligible) return false;
+        if (d == nullptr) continue;
+        if (!d->ins.empty()) {
+          aux_ins.relation(p, d->arity)
+              .InsertStaged(d->ins.data(), d->ins.size() / d->arity, 0);
+        }
+        if (!d->del.empty()) {
+          aux_del.relation(p, d->arity)
+              .InsertStaged(d->del.data(), d->del.size() / d->arity, 0);
+        }
+        del_rows += d->del.size() / d->arity;
+      }
+      for (const Atom& a : rule.negative) {
+        if (InputDelta(a.predicate, &eligible) != nullptr || !eligible) {
+          return false;
+        }
+      }
+    }
+    if (del_rows > 0 && (del_rows > in.max_overdelete || st.tc)) {
+      // TC-shaped strata lean on the kernel; unwinding a closure via DRed
+      // over-deletes nearly everything, so recompute instead.
+      // (Insert-only TC deltas do run incrementally — through the
+      // semi-naive rounds, skipping the kernel.) An input delta already
+      // past the over-delete bound is the same fallback the in-cascade
+      // check takes, just caught before any work.
+      if (del_rows > in.max_overdelete) ++stats.incremental_fallbacks;
+      return false;
+    }
+
+    SPARQLOG_RETURN_NOT_OK(RestoreSnapshot(*old_snap));
+    const uint32_t derive_round = round;
+    uint64_t fresh = 0;
+    if (del_rows > 0) {
+      SPARQLOG_ASSIGN_OR_RETURN(bool kept,
+                                Dred(st, &aux_del, derive_round, &fresh));
+      if (!kept) return false;
+    }
+    SPARQLOG_ASSIGN_OR_RETURN(uint64_t inserted,
+                              DeltaPass(st, &aux_ins, 0, derive_round));
+    ++stats.strata_incremental;
+    SPARQLOG_RETURN_NOT_OK(Rounds(st, fresh + inserted));
+    return true;
+  }
+
+  // (3) TC kernel: a stratum whose only recursive dependency is one
+  // linear closure rule (the shape every recursive property path
+  // translates to). The other rules (and program facts) seed the head
+  // relation in one pass; the kernel then completes the closure in one
+  // shot: grouped BFS over the frozen step relation, pivoting on newly
+  // reached endpoints only, with no per-round rescans or merges.
+  Status TcKernel(const Stratum& st) {
+    SPARQLOG_ASSIGN_OR_RETURN(uint64_t seeds, RulePass(st));
+    EndRound(seeds);
+    SPARQLOG_ASSIGN_OR_RETURN(
+        TcKernelStats k, RunTcKernel(*st.tc, program, edb, idb, round, ctx));
+    ++stats.tc_kernels_hit;
+    ++(k.dense ? stats.tc_dense_frontiers : stats.tc_sparse_frontiers);
+    if (k.inserted > 0) EndRound(k.inserted);
+    return Status::OK();
+  }
+
+  // (4) Generic fixpoint: one pass of every rule over the current state,
+  // then, for a recursive stratum, rounds until nothing new is derived.
+  Status GenericFixpoint(const Stratum& st) {
+    SPARQLOG_ASSIGN_OR_RETURN(uint64_t fresh, RulePass(st));
+    return Rounds(st, fresh);
+  }
+
+  /// Restores `snap` at the current round, which it closes.
+  Status RestoreSnapshot(const StratumSnapshot& snap) {
+    uint64_t restored = snap.Restore(program.predicates, round, idb);
+    ctx->AddTuples(restored);
+    stats.tuples_restored += restored;
+    ++round;
+    return ctx->CheckBudget();
+  }
+
+  /// The pre-update snapshot of `st` if it can be diffed against: still
+  /// memoized, resolvable, and with no nullary head.
+  std::shared_ptr<const StratumSnapshot> PreviousSnapshot(
+      const Stratum& st) const {
+    std::shared_ptr<const StratumSnapshot> snap =
+        in.memo->Lookup(fp_old[st.index]);
+    if (snap == nullptr ||
+        !snap->Resolves(program.predicates, /*allow_nullary=*/false)) {
+      return nullptr;
+    }
+    for (PredicateId p : st.heads) {
+      if (program.predicates.Arity(p) == 0) return nullptr;
+    }
+    return snap;
+  }
+
+  /// The delta of input predicate `p`: the diff an earlier stratum
+  /// recorded, else the update's EDB delta, else null. Clears `*eligible`
+  /// for an undiffable input or an arity mismatch.
+  const EdbDelta::PredicateDelta* InputDelta(PredicateId p,
+                                             bool* eligible) const {
+    if (idb_unknown.count(p) != 0) {
+      *eligible = false;
+      return nullptr;
+    }
+    if (auto it = idb_delta.find(p); it != idb_delta.end()) {
+      return &it->second;
+    }
+    auto it = in.delta->preds.find(program.predicates.Name(p));
+    if (it == in.delta->preds.end()) return nullptr;
+    if (it->second.arity != program.predicates.Arity(p)) {
+      *eligible = false;
+      return nullptr;
+    }
+    return &it->second;
+  }
+
+  /// DRed over a restored stratum: over-delete to a fixpoint against
+  /// current ∪ deleted (a sound over-approximation of the pre-update
+  /// state), physically remove, then re-derive survivors head by head at
+  /// `derive_round`, counting them into `*fresh`. Returns false when the
+  /// over-delete cascade outgrew `max_overdelete`: the restored heads are
+  /// discarded (program facts re-seeded) for a full recompute.
+  Result<bool> Dred(const Stratum& st, Database* aux_del,
+                    uint32_t derive_round, uint64_t* fresh) {
+    ++stats.strata_dred;
+    // Every (rule, atom) whose predicate has deleted rows at round `dr`
+    // re-fires with the remaining atoms matched against current ∪
+    // deleted, emitting heads into `aux_del` at dr+1.
+    uint64_t overdeleted = 0;
+    for (uint32_t dr = 0;; ++dr) {
+      SPARQLOG_ASSIGN_OR_RETURN(uint64_t n,
+                                DeltaPass(st, aux_del, dr, dr + 1, aux_del));
+      overdeleted += n;
+      if (overdeleted > in.max_overdelete) {
+        ++stats.incremental_fallbacks;
+        for (PredicateId p : st.heads) {
+          idb->Reset(p, program.predicates.Arity(p));
+        }
+        ctx->AddTuples(SeedFacts(program, &st.heads, idb));
+        return false;
+      }
+      if (n == 0) break;
+    }
+    stats.tuples_overdeleted += overdeleted;
+
+    // Physically remove the over-deleted head tuples (absent ones — the
+    // over-approximation surplus — are skipped by RemoveRows anyway;
+    // program facts are axioms, not derivations, and survive),
+    // remembering each removed tuple for the re-derivation pass.
+    Database facts;
+    SeedFacts(program, &st.heads, &facts);
+    struct Doomed {
+      PredicateId pred;
+      std::vector<Value> row;
+    };
+    std::vector<Doomed> removed_tuples;
+    for (PredicateId p : st.heads) {
+      const Relation* od = aux_del->Find(p);
+      Relation* target = idb->FindMutable(p);
+      if (od == nullptr || od->size() == 0 || target == nullptr) continue;
+      const Relation* head_facts = facts.Find(p);
+      const uint32_t arity = od->arity();
+      std::vector<Value> doomed;
+      for (RowRef row : od->rows()) {
+        if (!target->Contains(row.data())) continue;
+        if (head_facts != nullptr && head_facts->Contains(row.data())) {
+          continue;
+        }
+        doomed.insert(doomed.end(), row.begin(), row.end());
+        removed_tuples.push_back({p, row.ToVector()});
+      }
+      if (!doomed.empty()) {
+        target->RemoveRows(doomed.data(), doomed.size() / arity);
+      }
+    }
+
+    // Re-derivation: a removed tuple may have an alternate support among
+    // the survivors (plus unchanged inputs). Each success puts the tuple
+    // back, which can in turn support others — iterate to fixpoint over
+    // the shrinking list.
+    bool rederived = true;
+    while (rederived) {
+      rederived = false;
+      for (size_t i = 0; i < removed_tuples.size();) {
+        Doomed& dt = removed_tuples[i];
+        bool found = false;
+        for (uint32_t ri : st.rules) {
+          const Rule& rule = program.rules[ri];
+          if (rule.head.predicate != dt.pred) continue;
+          RuleRun run(eval, &rule, edb, idb, ctx, derive_round);
+          run.head_binding = dt.row.data();
+          SPARQLOG_RETURN_NOT_OK(run.Run());
+          if (run.inserted > 0) {
+            found = true;
+            *fresh += run.inserted;
+            ++stats.tuples_rederived;
+            break;
+          }
+        }
+        if (found) {
+          rederived = true;
+          removed_tuples[i] = std::move(removed_tuples.back());
+          removed_tuples.pop_back();
+        } else {
+          ++i;
+        }
+      }
+    }
+    return true;
+  }
+
+  /// Runs every rule of the stratum once over the full relations (except
+  /// the closure rule the TC kernel owns), inserting at the current
+  /// round. Rules see each other's same-pass insertions, which the
+  /// single-pass completeness of non-recursive strata relies on.
+  Result<uint64_t> RulePass(const Stratum& st) {
+    uint64_t inserted = 0;
+    for (uint32_t ri : st.rules) {
+      if (st.tc && ri == st.tc->rule_index) continue;
+      RuleRun run(eval, &program.rules[ri], edb, idb, ctx, round);
+      SPARQLOG_RETURN_NOT_OK(run.Run());
+      inserted += run.inserted;
+    }
+    return inserted;
+  }
+
+  /// The delta pass shared by the semi-naive rounds, the incremental
+  /// insertion pass and the DRed over-delete: each (rule, positive atom)
+  /// pair of the stratum, in rule then atom order, whose predicate has
+  /// rows at `delta_round` in `delta` re-fires with that atom's scan
+  /// pinned to those rows, inserting heads at `insert_round`. With
+  /// `overdelete`, that database also joins as a third source and
+  /// receives the heads instead of the IDB. Returns the number of tuples
+  /// inserted.
+  Result<uint64_t> DeltaPass(const Stratum& st, Database* delta,
+                             uint32_t delta_round, uint32_t insert_round,
+                             Database* overdelete = nullptr) {
+    uint64_t inserted = 0;
+    for (uint32_t ri : st.rules) {
+      const Rule& rule = program.rules[ri];
+      for (uint32_t ai = 0; ai < rule.positive.size(); ++ai) {
+        const Relation* rel = delta->Find(rule.positive[ai].predicate);
+        if (rel == nullptr) continue;
+        auto [lo, hi] = rel->RoundRange(delta_round);
+        if (lo >= hi) continue;
+        RuleRun run(eval, &rule, edb, idb, ctx, insert_round, ai,
+                    delta_round);
+        run.delta_source = delta;
+        run.aux = overdelete;
+        run.emit_db = overdelete;
+        SPARQLOG_RETURN_NOT_OK(run.Run());
+        inserted += run.inserted;
+      }
+    }
+    return inserted;
+  }
+
+  /// Counts the `fresh` tuples derived at the current round and closes it.
+  void EndRound(uint64_t fresh) {
+    stats.tuples_derived += fresh;
+    ++stats.rounds;
+    ++round;
+  }
+
+  /// Closes the current round with its `fresh` tuples. A recursive
+  /// stratum then runs rounds until one derives nothing: delta passes
+  /// pinned to the previous round's rows, or in naive mode (the
+  /// reference) every rule again over the full relations.
+  Status Rounds(const Stratum& st, uint64_t fresh) {
+    for (;;) {
+      EndRound(fresh);
+      if (!st.recursive || fresh == 0) return Status::OK();
+      if (eval->mode_ == FixpointMode::kNaive) {
+        SPARQLOG_ASSIGN_OR_RETURN(fresh, RulePass(st));
+      } else {
+        SPARQLOG_ASSIGN_OR_RETURN(fresh,
+                                  DeltaPass(st, idb, round - 1, round));
+      }
+    }
+  }
+
+  /// Snapshots the completed stratum for reuse by later queries. A head
+  /// relation at this point holds exactly the stratum's derivations plus
+  /// any program facts seeded into it (head predicates are defined in
+  /// one stratum only), which is precisely what the fingerprint covers.
+  void Snapshot(const Stratum& st) {
+    if (!memo) return;
+    StratumSnapshot snap;
+    std::vector<PredicateId> heads(st.heads.begin(), st.heads.end());
+    std::sort(heads.begin(), heads.end());
+    for (PredicateId p : heads) {
+      const Relation* r = idb->Find(p);
+      if (r == nullptr) continue;
+      snap.Capture(program.predicates.Name(p), *r);
+    }
+    in.memo->Insert(fp[st.index], std::move(snap));
+  }
+
+  /// Records the stratum's head-relation diff (current vs the pre-update
+  /// snapshot) into `idb_delta` once the heads are final. No-op when the
+  /// fingerprint didn't change (inputs, and hence heads, are identical).
+  void RecordChange(const Stratum& st) {
+    if (!incremental || fp[st.index] == fp_old[st.index]) return;
+    std::shared_ptr<const StratumSnapshot> old_snap = PreviousSnapshot(st);
+    if (old_snap == nullptr) {
+      idb_unknown.insert(st.heads.begin(), st.heads.end());
+      return;
+    }
+    for (PredicateId p : st.heads) {
+      const uint32_t arity = program.predicates.Arity(p);
+      const std::string& name = program.predicates.Name(p);
+      const StratumSnapshot::RelationSnapshot* old_rel = nullptr;
+      for (const auto& rel : old_snap->relations) {
+        if (rel.predicate == name) {
+          old_rel = &rel;
+          break;
+        }
+      }
+      const Relation* cur = idb->Find(p);
+      EdbDelta::PredicateDelta d;
+      d.arity = arity;
+      TupleStore old_store(arity);
+      if (old_rel != nullptr && old_rel->num_rows > 0) {
+        old_store.BulkLoad(old_rel->rows.data(), old_rel->num_rows);
+      }
+      if (cur != nullptr) {
+        for (RowRef row : cur->rows()) {
+          if (!old_store.Contains(row.data())) {
+            d.ins.insert(d.ins.end(), row.begin(), row.end());
+          }
+        }
+      }
+      if (old_rel != nullptr) {
+        for (uint32_t i = 0; i < old_rel->num_rows; ++i) {
+          const Value* row =
+              old_rel->rows.data() + static_cast<size_t>(i) * arity;
+          if (cur == nullptr || !cur->Contains(row)) {
+            d.del.insert(d.del.end(), row, row + arity);
+          }
+        }
+      }
+      if (!d.ins.empty() || !d.del.empty()) idb_delta[p] = std::move(d);
+    }
+  }
+};
+
 Status Evaluator::Evaluate(const Program& program, Database* edb,
                            Database* idb, ExecContext* ctx) {
   stats_ = EvalStats();
   SPARQLOG_RETURN_NOT_OK(program.Validate());
   SPARQLOG_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
-
-  // Cross-query stratum memoization (semi-naive only: naive mode is the
-  // reference semantics the differential tests compare against, and its
-  // arena insertion order differs).
-  const bool memo_ok = memo_ != nullptr && mode_ == FixpointMode::kSemiNaive;
-  std::vector<uint64_t> stratum_fp;
-  std::vector<uint64_t> stratum_fp_old;
-  // Incremental stratum maintenance: when the engine supplies the latest
-  // update's EDB delta plus the version map from *before* it, a stratum
-  // whose previous fingerprint still has a snapshot is re-derived from
-  // that snapshot + the input deltas (insertions as one extra semi-naive
-  // round, deletions via DRed) instead of from scratch. IDB input
-  // changes propagate through the composed fingerprints, so
-  // fp_new == fp_old means "all transitive inputs unchanged".
-  const bool inc_ok =
-      memo_ok && inc_.delta != nullptr && inc_.prev_versions != nullptr;
-  if (memo_ok) {
-    stratum_fp = StratumFingerprints(program, strat, *skolems_, dataset_fp_,
-                                     inc_.versions);
-    if (inc_ok) {
-      stratum_fp_old = StratumFingerprints(program, strat, *skolems_,
-                                           dataset_fp_, inc_.prev_versions);
-    }
-  }
-  // Downstream change propagation: after each stratum whose fingerprint
-  // changed, its head relations are diffed against the pre-update
-  // snapshot; the diffs become the IDB input deltas of later strata. A
-  // head whose diff can't be computed (old snapshot evicted, arity 0)
-  // lands in `idb_unknown`, which poisons downstream *eligibility*, never
-  // correctness.
-  std::unordered_map<PredicateId, EdbDelta::PredicateDelta> idb_delta;
-  std::unordered_set<PredicateId> idb_unknown;
-
-  // Seed program facts (round 0).
-  for (const Fact& f : program.facts) {
-    Relation& rel = idb->relation(
-        f.predicate, static_cast<uint32_t>(f.tuple.size()));
-    if (rel.Insert(f.tuple, 0)) ctx->AddTuples(1);
-  }
+  Pass pass(this, program, strat, edb, idb, ctx);
+  ctx->AddTuples(SeedFacts(program, nullptr, idb));
   SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
 
-  uint32_t round = 1;
   for (uint32_t s = 0; s < strat.num_strata; ++s) {
-    const std::vector<uint32_t>& rule_ids = strat.strata_rules[s];
-    if (rule_ids.empty()) continue;
+    if (strat.strata_rules[s].empty()) continue;
     SPARQLOG_FAILPOINT(g_fp_stratum_begin);
-
-    // Head predicates defined in this stratum (delta candidates; also the
-    // unit of incremental change tracking).
-    std::unordered_set<PredicateId> stratum_heads;
-    for (uint32_t ri : rule_ids) {
-      stratum_heads.insert(program.rules[ri].head.predicate);
+    Stratum st(program, strat, s);
+    SPARQLOG_ASSIGN_OR_RETURN(bool restored, pass.MemoRestore(st));
+    if (!restored) {
+      if (tc_kernel_ && mode_ == FixpointMode::kSemiNaive && st.recursive) {
+        st.tc = DetectTcShape(program, st.rules, st.heads);
+      }
+      SPARQLOG_ASSIGN_OR_RETURN(bool maintained, pass.Incremental(st));
+      if (!maintained) {
+        SPARQLOG_RETURN_NOT_OK(st.tc ? pass.TcKernel(st)
+                                     : pass.GenericFixpoint(st));
+      }
+      pass.Snapshot(st);
     }
-
-    // Records this stratum's head-relation diff (current vs the
-    // pre-update snapshot) into `idb_delta` once the heads are final —
-    // called on every exit path of the stratum body. No-op when the
-    // fingerprint didn't change (inputs, and hence heads, are
-    // identical).
-    auto record_change = [&]() {
-      if (!inc_ok || stratum_fp[s] == stratum_fp_old[s]) return;
-      std::shared_ptr<const StratumSnapshot> old_snap =
-          memo_->Lookup(stratum_fp_old[s]);
-      if (old_snap == nullptr ||
-          !old_snap->Resolves(program.predicates, /*allow_nullary=*/false)) {
-        idb_unknown.insert(stratum_heads.begin(), stratum_heads.end());
-        return;
-      }
-      for (PredicateId p : stratum_heads) {
-        const uint32_t arity = program.predicates.Arity(p);
-        if (arity == 0) {
-          idb_unknown.insert(p);
-          continue;
-        }
-        const std::string& name = program.predicates.Name(p);
-        const StratumSnapshot::RelationSnapshot* old_rel = nullptr;
-        for (const auto& rel : old_snap->relations) {
-          if (rel.predicate == name) {
-            old_rel = &rel;
-            break;
-          }
-        }
-        const Relation* cur = idb->Find(p);
-        EdbDelta::PredicateDelta d;
-        d.arity = arity;
-        TupleStore old_store(arity);
-        if (old_rel != nullptr && old_rel->num_rows > 0) {
-          old_store.BulkLoad(old_rel->rows.data(), old_rel->num_rows);
-        }
-        if (cur != nullptr) {
-          for (RowRef row : cur->rows()) {
-            if (!old_store.Contains(row.data())) {
-              d.ins.insert(d.ins.end(), row.begin(), row.end());
-            }
-          }
-        }
-        if (old_rel != nullptr) {
-          for (uint32_t i = 0; i < old_rel->num_rows; ++i) {
-            const Value* row =
-                old_rel->rows.data() + static_cast<size_t>(i) * arity;
-            if (cur == nullptr || !cur->Contains(row)) {
-              d.del.insert(d.del.end(), row, row + arity);
-            }
-          }
-        }
-        if (!d.ins.empty() || !d.del.empty()) idb_delta[p] = std::move(d);
-      }
-    };
-
-    // Memo hit: replay the snapshot (arena order preserved; program
-    // facts already seeded above dedup away) instead of evaluating.
-    if (memo_ok) {
-      std::shared_ptr<const StratumSnapshot> snap =
-          memo_->Lookup(stratum_fp[s]);
-      if (snap != nullptr &&
-          snap->Resolves(program.predicates, /*allow_nullary=*/true)) {
-        uint64_t restored = snap->Restore(program.predicates, round, idb);
-        ctx->AddTuples(restored);
-        stats_.tuples_restored += restored;
-        ++stats_.stratum_hits;
-        SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
-        record_change();
-        ++round;
-        continue;
-      }
-      ++stats_.stratum_misses;
-    }
-
-    // TC fast path: a stratum whose only recursive dependency is one
-    // linear closure rule (the shape every recursive property path
-    // translates to) runs the dedicated kernel instead of the generic
-    // delta rounds. The closure rule is excluded from the initial pass —
-    // the kernel's seeds are exactly the rows the remaining rules (and
-    // program facts) put into the head relation — and the fixpoint loop
-    // below is replaced wholesale. Detection is structural, so it can
-    // run before any tuple is derived.
-    std::optional<TcShape> tc;
-    if (tc_kernel_ && mode_ == FixpointMode::kSemiNaive &&
-        strat.stratum_recursive[s]) {
-      tc = DetectTcShape(program, rule_ids, stratum_heads);
-    }
-
-    // ---- Incremental stratum path ------------------------------------
-    // Memo miss whose previous fingerprint still has a snapshot: restore
-    // the pre-update result, then bring it to the new fixpoint from the
-    // input deltas alone. Insert-only deltas seed one extra semi-naive
-    // round (the fixpoint loop below finishes the closure); deletions run
-    // DRed first — over-delete to a fixpoint against current ∪ deleted
-    // (a sound over-approximation of the pre-update state), physically
-    // remove, then re-derive survivors head-by-head. Delta volumes are
-    // bounded by contract: `max_overdelete` trips the full-recompute
-    // fallback.
-    bool inc_handled = false;
-    uint64_t inc_new = 0;
-    auto attempt_incremental = [&]() -> Status {
-      std::shared_ptr<const StratumSnapshot> old_snap =
-          memo_->Lookup(stratum_fp_old[s]);
-      if (old_snap == nullptr ||
-          !old_snap->Resolves(program.predicates, /*allow_nullary=*/false)) {
-        return Status::OK();
-      }
-      for (PredicateId p : stratum_heads) {
-        if (program.predicates.Arity(p) == 0) return Status::OK();
-      }
-
-      // Collect the input deltas this stratum is affected by. Unknown
-      // (undiffable) inputs, arity mismatches, and negation over a
-      // changed predicate all disqualify — DRed handles stratified
-      // negation only when the negated side is stable.
-      struct InputDelta {
-        PredicateId pred;
-        const EdbDelta::PredicateDelta* delta;
-      };
-      std::vector<InputDelta> inputs;
-      std::unordered_set<PredicateId> seen_inputs;
-      bool eligible = true;
-      bool has_del = false;
-      uint64_t del_rows = 0;
-      auto find_delta =
-          [&](PredicateId p) -> const EdbDelta::PredicateDelta* {
-        if (idb_unknown.count(p) != 0) {
-          eligible = false;
-          return nullptr;
-        }
-        auto it = idb_delta.find(p);
-        if (it != idb_delta.end()) return &it->second;
-        auto eit = inc_.delta->preds.find(program.predicates.Name(p));
-        if (eit != inc_.delta->preds.end()) {
-          if (eit->second.arity != program.predicates.Arity(p)) {
-            eligible = false;
-            return nullptr;
-          }
-          return &eit->second;
-        }
-        return nullptr;
-      };
-      for (uint32_t ri : rule_ids) {
-        const Rule& rule = program.rules[ri];
-        for (const Atom& a : rule.positive) {
-          PredicateId p = a.predicate;
-          if (stratum_heads.count(p) != 0 || seen_inputs.count(p) != 0) {
-            continue;
-          }
-          seen_inputs.insert(p);
-          const EdbDelta::PredicateDelta* d = find_delta(p);
-          if (!eligible) return Status::OK();
-          if (d != nullptr) {
-            inputs.push_back({p, d});
-            has_del = has_del || !d->del.empty();
-            del_rows += d->del.size() / d->arity;
-          }
-        }
-        for (const Atom& a : rule.negative) {
-          const EdbDelta::PredicateDelta* d = find_delta(a.predicate);
-          if (!eligible || d != nullptr) return Status::OK();
-        }
-      }
-      if (has_del && (del_rows > inc_.max_overdelete || tc)) {
-        // TC-shaped strata lean on the kernel; unwinding a closure via
-        // DRed over-deletes nearly everything, so recompute instead.
-        // (Insert-only TC deltas do run incrementally — through the
-        // generic delta rounds, skipping the kernel.) An input delta
-        // already past the over-delete bound is the same fallback the
-        // in-cascade check takes, just caught before any work.
-        if (del_rows > inc_.max_overdelete) ++stats_.incremental_fallbacks;
-        return Status::OK();
-      }
-
-      // Restore the pre-update snapshot at this round; all incremental
-      // derivations go to the next round, which the fixpoint loop then
-      // scans as its first delta.
-      uint64_t restored = old_snap->Restore(program.predicates, round, idb);
-      ctx->AddTuples(restored);
-      stats_.tuples_restored += restored;
-      SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
-      ++round;
-      const uint32_t derive_round = round;
-
-      // Scratch databases holding the input deltas at round 0. `aux_del`
-      // additionally accumulates over-deleted head tuples (rounds >= 1).
-      Database aux_ins;
-      Database aux_del;
-      for (const InputDelta& in : inputs) {
-        if (!in.delta->ins.empty()) {
-          aux_ins.relation(in.pred, in.delta->arity)
-              .InsertStaged(in.delta->ins.data(),
-                            in.delta->ins.size() / in.delta->arity, 0);
-        }
-        if (!in.delta->del.empty()) {
-          aux_del.relation(in.pred, in.delta->arity)
-              .InsertStaged(in.delta->del.data(),
-                            in.delta->del.size() / in.delta->arity, 0);
-        }
-      }
-
-      if (has_del) {
-        ++stats_.strata_dred;
-        // Program facts are axioms, not derivations — they survive any
-        // over-delete.
-        std::unordered_map<PredicateId, TupleStore> fact_rows;
-        for (const Fact& f : program.facts) {
-          if (stratum_heads.count(f.predicate) == 0) continue;
-          auto [it, unused] = fact_rows.try_emplace(
-              f.predicate, static_cast<uint32_t>(f.tuple.size()));
-          bool fresh = false;
-          it->second.Insert(f.tuple.data(), &fresh);
-        }
-
-        // Over-delete fixpoint: every (rule, atom) whose predicate has
-        // deleted rows at round `dr` re-fires with the delta scan pinned
-        // to those rows, the remaining atoms matched against
-        // current ∪ deleted, and heads emitted into `aux_del` at dr+1.
-        uint64_t overdeleted = 0;
-        uint32_t dr = 0;
-        bool progress = true;
-        while (progress) {
-          progress = false;
-          for (uint32_t ri : rule_ids) {
-            const Rule& rule = program.rules[ri];
-            for (uint32_t ai = 0;
-                 ai < static_cast<uint32_t>(rule.positive.size()); ++ai) {
-              const Relation* drel =
-                  aux_del.Find(rule.positive[ai].predicate);
-              if (drel == nullptr) continue;
-              auto [lo, hi] = drel->RoundRange(dr);
-              if (lo >= hi) continue;
-              RuleRun run(this, &rule, edb, idb, ctx, dr + 1, ai, dr);
-              run.delta_source = &aux_del;
-              run.aux = &aux_del;
-              run.emit_db = &aux_del;
-              SPARQLOG_RETURN_NOT_OK(run.Run());
-              if (run.inserted > 0) progress = true;
-              overdeleted += run.inserted;
-            }
-          }
-          ++dr;
-          if (overdeleted > inc_.max_overdelete) {
-            // The cascade outgrew the bound: discard the restored
-            // stratum and fall back to the full recompute below.
-            ++stats_.incremental_fallbacks;
-            for (PredicateId p : stratum_heads) {
-              idb->Reset(p, program.predicates.Arity(p));
-            }
-            for (const Fact& f : program.facts) {
-              if (stratum_heads.count(f.predicate) == 0) continue;
-              Relation& rel = idb->relation(
-                  f.predicate, static_cast<uint32_t>(f.tuple.size()));
-              if (rel.Insert(f.tuple, 0)) ctx->AddTuples(1);
-            }
-            return Status::OK();
-          }
-        }
-        stats_.tuples_overdeleted += overdeleted;
-
-        // Physically remove the over-deleted head tuples (absent ones —
-        // the over-approximation surplus — are skipped by RemoveRows
-        // anyway; program facts are pre-filtered out), remembering each
-        // removed tuple for the re-derivation pass.
-        struct Doomed {
-          PredicateId pred;
-          std::vector<Value> row;
-        };
-        std::vector<Doomed> removed_tuples;
-        for (PredicateId p : stratum_heads) {
-          const Relation* od = aux_del.Find(p);
-          Relation* target = idb->FindMutable(p);
-          if (od == nullptr || od->size() == 0 || target == nullptr) {
-            continue;
-          }
-          const TupleStore* facts = nullptr;
-          if (auto fit = fact_rows.find(p); fit != fact_rows.end()) {
-            facts = &fit->second;
-          }
-          const uint32_t arity = od->arity();
-          std::vector<Value> doomed;
-          for (RowRef row : od->rows()) {
-            if (!target->Contains(row.data())) continue;
-            if (facts != nullptr && facts->Contains(row.data())) continue;
-            doomed.insert(doomed.end(), row.begin(), row.end());
-            removed_tuples.push_back({p, row.ToVector()});
-          }
-          if (!doomed.empty()) {
-            target->RemoveRows(doomed.data(), doomed.size() / arity);
-          }
-        }
-
-        // Re-derivation: a removed tuple may have an alternate support
-        // among the survivors (plus unchanged inputs). Each success puts
-        // the tuple back, which can in turn support others — iterate to
-        // fixpoint over the shrinking list.
-        bool rederived = true;
-        while (rederived) {
-          rederived = false;
-          for (size_t i = 0; i < removed_tuples.size();) {
-            Doomed& dt = removed_tuples[i];
-            bool found = false;
-            for (uint32_t ri : rule_ids) {
-              const Rule& rule = program.rules[ri];
-              if (rule.head.predicate != dt.pred) continue;
-              RuleRun run(this, &rule, edb, idb, ctx, derive_round);
-              run.head_binding = dt.row.data();
-              SPARQLOG_RETURN_NOT_OK(run.Run());
-              if (run.inserted > 0) {
-                found = true;
-                inc_new += run.inserted;
-                ++stats_.tuples_rederived;
-                break;
-              }
-            }
-            if (found) {
-              rederived = true;
-              removed_tuples[i] = std::move(removed_tuples.back());
-              removed_tuples.pop_back();
-            } else {
-              ++i;
-            }
-          }
-        }
-      }
-
-      // Insertion phase: one semi-naive round with the delta scan pinned
-      // to the inserted input rows (per rule and per atom, the standard
-      // rotation — the remaining atoms see the full new state, EDB
-      // deltas included, so multi-atom all-new derivations are covered).
-      for (uint32_t ri : rule_ids) {
-        const Rule& rule = program.rules[ri];
-        for (uint32_t ai = 0;
-             ai < static_cast<uint32_t>(rule.positive.size()); ++ai) {
-          const Relation* irel = aux_ins.Find(rule.positive[ai].predicate);
-          if (irel == nullptr || irel->size() == 0) continue;
-          RuleRun run(this, &rule, edb, idb, ctx, derive_round, ai, 0);
-          run.delta_source = &aux_ins;
-          SPARQLOG_RETURN_NOT_OK(run.Run());
-          inc_new += run.inserted;
-        }
-      }
-
-      stats_.tuples_derived += inc_new;
-      ++stats_.strata_incremental;
-      inc_handled = true;
-      return Status::OK();
-    };
-    if (inc_ok && stratum_fp[s] != stratum_fp_old[s]) {
-      SPARQLOG_RETURN_NOT_OK(attempt_incremental());
-    }
-
-    auto run_rule = [&](uint32_t ri, uint32_t delta_atom,
-                        uint32_t delta_round) -> Result<uint64_t> {
-      RuleRun run(this, &program.rules[ri], edb, idb, ctx, round, delta_atom,
-                  delta_round);
-      Status st = run.Run();
-      stats_.tuples_derived += run.inserted;
-      SPARQLOG_RETURN_NOT_OK(st);
-      return run.inserted;
-    };
-
-    const bool recursive = strat.stratum_recursive[s];
-
-    // Initial (naive) pass over the current database state. Rules of the
-    // same stratum see each other's same-pass insertions here, which the
-    // single-pass completeness of non-recursive strata relies on.
-    uint64_t new_tuples = 0;
-    if (inc_handled) {
-      // Incremental path already restored + re-derived this stratum; its
-      // fresh tuples sit at the previous round, which the fixpoint loop
-      // below picks up as its first delta.
-      new_tuples = inc_new;
-    } else {
-      for (uint32_t ri : rule_ids) {
-        if (tc && ri == tc->rule_index) continue;  // kernel handles it
-        SPARQLOG_ASSIGN_OR_RETURN(uint64_t n, run_rule(ri, kNoDelta, 0));
-        new_tuples += n;
-      }
-    }
-    ++stats_.rounds;
-    ++round;
-
-    // Snapshot the completed stratum for reuse by later queries. A head
-    // relation at this point holds exactly the stratum's derivations plus
-    // any program facts seeded into it (head predicates are defined in
-    // one stratum only), which is precisely what the fingerprint covers.
-    auto snapshot_stratum = [&]() {
-      if (!memo_ok) return;
-      StratumSnapshot snap;
-      std::vector<PredicateId> heads(stratum_heads.begin(),
-                                     stratum_heads.end());
-      std::sort(heads.begin(), heads.end());
-      for (PredicateId p : heads) {
-        const Relation* r = idb->Find(p);
-        if (r == nullptr) continue;
-        snap.Capture(program.predicates.Name(p), *r);
-      }
-      memo_->Insert(stratum_fp[s], std::move(snap));
-    };
-
-    // Non-recursive strata are complete after the single pass.
-    if (!recursive) {
-      snapshot_stratum();
-      record_change();
-      continue;
-    }
-
-    if (tc && !inc_handled) {
-      // The kernel completes the closure in one shot: grouped BFS over
-      // the frozen step relation, pivoting on newly reached endpoints
-      // only (the delta side), with no per-round rescans or merges.
-      SPARQLOG_ASSIGN_OR_RETURN(
-          TcKernelStats kstats,
-          RunTcKernel(*tc, program, edb, idb, round, ctx));
-      ++stats_.tc_kernels_hit;
-      if (kstats.dense) {
-        ++stats_.tc_dense_frontiers;
-      } else {
-        ++stats_.tc_sparse_frontiers;
-      }
-      stats_.tuples_derived += kstats.inserted;
-      if (kstats.inserted > 0) {
-        ++stats_.rounds;
-        ++round;
-      }
-      snapshot_stratum();
-      record_change();
-      continue;
-    }
-
-    // Delta tasks for the fixpoint rounds: every (rule, stratum-head
-    // atom) pair.
-    struct DeltaTask {
-      uint32_t rule;
-      uint32_t atom;
-    };
-    std::vector<DeltaTask> delta_tasks;
-    for (uint32_t ri : rule_ids) {
-      const Rule& rule = program.rules[ri];
-      for (uint32_t ai = 0; ai < rule.positive.size(); ++ai) {
-        if (stratum_heads.count(rule.positive[ai].predicate) == 0) continue;
-        delta_tasks.push_back({ri, ai});
-      }
-    }
-
-    // Fixpoint iterations.
-    while (new_tuples > 0) {
-      new_tuples = 0;
-      if (mode_ == FixpointMode::kNaive) {
-        for (uint32_t ri : rule_ids) {
-          SPARQLOG_ASSIGN_OR_RETURN(uint64_t n, run_rule(ri, kNoDelta, 0));
-          new_tuples += n;
-        }
-      } else {
-        uint32_t delta_round = round - 1;
-        for (const DeltaTask& t : delta_tasks) {
-          SPARQLOG_ASSIGN_OR_RETURN(uint64_t n,
-                                    run_rule(t.rule, t.atom, delta_round));
-          new_tuples += n;
-        }
-      }
-      ++stats_.rounds;
-      ++round;
-    }
-    snapshot_stratum();
-    record_change();
+    pass.RecordChange(st);
   }
   return Status::OK();
 }

@@ -67,35 +67,32 @@ class Evaluator {
   /// never changes result sets, only arena row ids.
   void set_tc_kernel(bool on) { tc_kernel_ = on; }
 
-  /// Attaches a cross-query stratum memo (see stratum_memo.h).
-  /// `dataset_fp` is the generation fingerprint of the dataset the EDB
-  /// was materialized from; it anchors every EDB input in the composed
-  /// stratum fingerprints. Completed strata are snapshotted into the
+  /// Cross-query stratum memo (see stratum_memo.h) plus the input of
+  /// incremental maintenance, both provided by the engine. `dataset_fp`
+  /// is the generation fingerprint of the dataset the EDB was
+  /// materialized from; it anchors every EDB input in the composed
+  /// stratum fingerprints, and `versions` refines each anchor per
+  /// predicate (it must be passed consistently across queries once
+  /// updates have happened). Completed strata are snapshotted into the
   /// memo, and strata whose fingerprint already has a snapshot are
-  /// restored instead of evaluated. Only the semi-naive mode consults
-  /// the memo (naive mode is the reference semantics for differentials).
-  void set_stratum_memo(StratumMemo* memo, uint64_t dataset_fp) {
-    memo_ = memo;
-    dataset_fp_ = dataset_fp;
-  }
-
-  /// Incremental-maintenance input, provided by the engine alongside the
-  /// stratum memo. `versions` refines every EDB anchor in the stratum
-  /// fingerprints (it must be passed consistently across queries once
-  /// updates have happened); `delta` + `prev_versions` describe the
-  /// latest `ApplyUpdate`, enabling the incremental stratum path: on a
-  /// memo miss whose previous-versions fingerprint still has a snapshot,
-  /// the stratum is re-derived from that snapshot plus the input deltas
-  /// (insertions as one extra semi-naive round, deletions via DRed)
-  /// instead of from scratch. Lifetimes: the maps must outlive the
-  /// Evaluate call; `delta` is shared-owned.
-  struct IncrementalInput {
-    EdbDeltaPtr delta;                             ///< latest update's delta
+  /// restored instead of evaluated. `delta` + `prev_versions` describe
+  /// the latest `ApplyUpdate`: on a memo miss whose previous-versions
+  /// fingerprint still has a snapshot, the stratum is re-derived from
+  /// that snapshot plus the input deltas (insertions as one extra
+  /// semi-naive round, deletions via DRed) instead of from scratch; a
+  /// DRed cascade past `max_overdelete` tuples recomputes the stratum.
+  /// Only the semi-naive mode consults the memo (naive mode is the
+  /// reference semantics for differentials). Lifetimes: the memo and the
+  /// maps must outlive the Evaluate call; `delta` is shared-owned.
+  struct MemoInput {
+    StratumMemo* memo = nullptr;                   ///< null = no memo
+    uint64_t dataset_fp = 0;                       ///< EDB anchor
     const EdbVersionMap* versions = nullptr;       ///< current EDB versions
+    EdbDeltaPtr delta;                             ///< latest update's delta
     const EdbVersionMap* prev_versions = nullptr;  ///< versions before delta
-    uint64_t max_overdelete = 1ull << 20;          ///< DRed bound → fallback
+    uint64_t max_overdelete = 0;                   ///< DRed bound → fallback
   };
-  void set_incremental(IncrementalInput input) { inc_ = std::move(input); }
+  void set_stratum_memo(MemoInput input) { memo_ = std::move(input); }
 
   /// Evaluates `program` with EDB relations from `edb` (indexes may be
   /// built on it, tuples are never added), materializing derived tuples
@@ -106,15 +103,17 @@ class Evaluator {
   const EvalStats& stats() const { return stats_; }
 
  private:
-  struct RuleRun;  // per-invocation state, defined in the .cc
+  // Per-rule-invocation, per-Evaluate-call and per-stratum state,
+  // defined in the .cc.
+  struct RuleRun;
+  struct Pass;
+  struct Stratum;
 
   eval::ExprEvaluator expr_eval_;
   SkolemStore* skolems_;
   FixpointMode mode_ = FixpointMode::kSemiNaive;
   bool tc_kernel_ = true;
-  StratumMemo* memo_ = nullptr;
-  uint64_t dataset_fp_ = 0;
-  IncrementalInput inc_;
+  MemoInput memo_;
   EvalStats stats_;
 };
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <thread>
 
 #include "core/engine.h"
@@ -634,6 +635,191 @@ TEST(EngineStatsFoldTest, FixpointTotalsEqualSumOfPerQueryStats) {
   EXPECT_GT(total.tc_kernels_hit, 0u);
   EXPECT_GT(total.strata_incremental, 0u);
   EXPECT_GT(total.strata_dred, 0u);
+}
+
+// Pins each fixpoint strategy's counters and the arena order of its
+// results. Every query's fixpoint counters (all FIXPOINT rows of the
+// counter table plus `tuples_derived`) and an order-sensitive hash of
+// its UNSORTED result rows must equal the values recorded here, so a
+// refactor of the evaluator that changes how much work a strategy does,
+// or the order in which it leaves rows in the arena, fails this test.
+// The scenario reaches every strategy: generic fixpoint and TC kernel
+// (cold), memo restore (warm repeat), incremental insert rounds, DRed
+// (delete on the kernel-off engine) and the over-delete fallback.
+std::string DescribeRun(const Engine::Execution& r,
+                        const rdf::TermDictionary& dict) {
+  std::string out;
+  const datalog::EvalStats& f = r.stats.fixpoint;
+#define SPARQLOG_DESCRIBE(name, help) \
+  if (f.name != 0) out += #name "=" + std::to_string(f.name) + " ";
+  SPARQLOG_COUNTER_TABLE(SPARQLOG_SKIP_ROW, SPARQLOG_DESCRIBE,
+                         SPARQLOG_SKIP_ROW)
+#undef SPARQLOG_DESCRIBE
+  out += "tuples_derived=" + std::to_string(f.tuples_derived);
+  std::string rendered;
+  for (const auto& row : r.result.rows) {
+    for (rdf::TermId t : row) rendered += dict.Render(t) + "\t";
+    rendered += "\n";
+  }
+  char hash[32];
+  std::snprintf(hash, sizeof(hash), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(rendered)));
+  return out + " rows=" + std::to_string(r.result.rows.size()) + " hash=" +
+         hash;
+}
+
+TEST(StrategyPinTest, PerStrategyCountersAndRowOrderUnchanged) {
+  const std::string closure =
+      kPrefix + std::string("SELECT ?x ?y WHERE { ?x r:p+ ?y }");
+  const std::string join =
+      kPrefix + std::string("SELECT ?a ?c WHERE { ?a r:p ?b . ?b r:q ?c }");
+  struct Step {
+    const char* name;
+    const char* want;
+  };
+
+  // Kernel on and off: cold, warm, after an insert, after a delete.
+  const Step kernel_steps[2][8] = {
+      {
+          {"on: cold closure",
+           "stratum_misses=4 rounds=5 tc_kernels_hit=1 tc_dense_frontiers=1 "
+           "tuples_derived=51 rows=15 hash=1c488beffb6606e2"},
+          {"on: warm closure",
+           "stratum_hits=4 tuples_restored=51 tuples_derived=0 rows=15 "
+           "hash=1c488beffb6606e2"},
+          {"on: cold join",
+           "stratum_misses=5 rounds=5 tuples_derived=43 rows=2 "
+           "hash=7cc3295e95fc28e5"},
+          {"on: insert, closure",
+           "stratum_misses=4 tuples_restored=51 rounds=5 "
+           "strata_incremental=4 tuples_derived=19 rows=21 "
+           "hash=e4e2797faa5f0ff3"},
+          {"on: insert, join",
+           "stratum_misses=5 tuples_restored=43 rounds=5 "
+           "strata_incremental=5 tuples_derived=10 rows=3 "
+           "hash=06a6578d4f59cbf2"},
+          {"on: delete, closure",
+           "stratum_misses=4 tuples_restored=49 rounds=5 tc_kernels_hit=1 "
+           "tc_dense_frontiers=1 strata_incremental=3 strata_dred=3 "
+           "tuples_overdeleted=13 tuples_derived=15 rows=15 "
+           "hash=6092017a39883110"},
+          {"on: delete, join",
+           "stratum_hits=1 stratum_misses=4 tuples_restored=53 rounds=4 "
+           "strata_incremental=4 strata_dred=4 tuples_overdeleted=3 "
+           "tuples_derived=0 rows=2 hash=7cc3295e95fc28e5"},
+          {"on: warm closure again",
+           "stratum_hits=4 tuples_restored=51 tuples_derived=0 rows=15 "
+           "hash=6092017a39883110"},
+      },
+      {
+          {"off: cold closure",
+           "stratum_misses=4 rounds=5 tuples_derived=51 rows=15 "
+           "hash=92a30a29eb19e0a8"},
+          {"off: warm closure",
+           "stratum_hits=4 tuples_restored=51 tuples_derived=0 rows=15 "
+           "hash=92a30a29eb19e0a8"},
+          {"off: cold join",
+           "stratum_misses=5 rounds=5 tuples_derived=43 rows=2 "
+           "hash=7cc3295e95fc28e5"},
+          {"off: insert, closure",
+           "stratum_misses=4 tuples_restored=51 rounds=5 "
+           "strata_incremental=4 tuples_derived=19 rows=21 "
+           "hash=9cd5c676ff04bd91"},
+          {"off: insert, join",
+           "stratum_misses=5 tuples_restored=43 rounds=5 "
+           "strata_incremental=5 tuples_derived=10 rows=3 "
+           "hash=06a6578d4f59cbf2"},
+          {"off: delete, closure",
+           "stratum_misses=4 tuples_restored=70 rounds=5 "
+           "strata_incremental=4 strata_dred=4 tuples_overdeleted=25 "
+           "tuples_rederived=6 tuples_derived=6 rows=15 "
+           "hash=a87c964f8ce57968"},
+          {"off: delete, join",
+           "stratum_hits=1 stratum_misses=4 tuples_restored=53 rounds=4 "
+           "strata_incremental=4 strata_dred=4 tuples_overdeleted=3 "
+           "tuples_derived=0 rows=2 hash=7cc3295e95fc28e5"},
+          {"off: warm closure again",
+           "stratum_hits=4 tuples_restored=51 tuples_derived=0 rows=15 "
+           "hash=a87c964f8ce57968"},
+      },
+  };
+  for (int kernel = 0; kernel < 2; ++kernel) {
+    const Step* steps = kernel_steps[kernel];
+    rdf::TermDictionary dict;
+    rdf::Dataset dataset(&dict);
+    rdf::TermId p = Pred(&dict, "p");
+    rdf::TermId q = Pred(&dict, "q");
+    for (size_t i = 0; i < 5; ++i) {
+      dataset.default_graph().Add(Node(&dict, i), p, Node(&dict, i + 1));
+    }
+    dataset.default_graph().Add(Node(&dict, 1), p, Node(&dict, 4));
+    dataset.default_graph().Add(Node(&dict, 1), q, Node(&dict, 7));
+    dataset.default_graph().Add(Node(&dict, 2), q, Node(&dict, 8));
+    Engine::Options options;
+    options.fixpoint.tc_kernel = kernel == 0;
+    Engine engine(&dataset, &dict, options);
+    ASSERT_TRUE(engine.Load().ok());
+
+    size_t next = 0;
+    auto check = [&](const std::string& query) {
+      auto r = engine.ExecuteText(query);
+      ASSERT_TRUE(r.ok()) << steps[next].name << "\n"
+                          << r.status().ToString();
+      EXPECT_EQ(DescribeRun(*r, dict), steps[next].want) << steps[next].name;
+      ++next;
+    };
+    check(closure);
+    check(closure);
+    check(join);
+    Engine::UpdateStats us;
+    ASSERT_TRUE(engine
+                    .ApplyUpdate({{Node(&dict, 5), p, Node(&dict, 6)},
+                                  {Node(&dict, 3), q, Node(&dict, 9)}},
+                                 {}, &us)
+                    .ok());
+    ASSERT_TRUE(us.incremental);
+    check(closure);
+    check(join);
+    ASSERT_TRUE(
+        engine.ApplyUpdate({}, {{Node(&dict, 2), p, Node(&dict, 3)}}, &us)
+            .ok());
+    ASSERT_TRUE(us.incremental);
+    check(closure);
+    check(join);
+    check(closure);
+  }
+
+  // The over-delete fallback: bound 4, kernel off, chain-head delete.
+  const Step fallback_steps[2] = {
+      {"fallback: cold closure",
+       "stratum_misses=4 rounds=5 tuples_derived=116 rows=36 "
+       "hash=b8ae7da760ca4149"},
+      {"fallback: delete, closure",
+       "stratum_misses=4 tuples_restored=44 rounds=10 strata_incremental=1 "
+       "strata_dred=2 incremental_fallbacks=3 tuples_overdeleted=1 "
+       "tuples_derived=84 rows=28 hash=686ae6f00af3a78d"},
+  };
+  rdf::TermDictionary dict;
+  rdf::Dataset dataset(&dict);
+  rdf::TermId p = Pred(&dict, "p");
+  for (size_t i = 0; i < 8; ++i) {
+    dataset.default_graph().Add(Node(&dict, i), p, Node(&dict, i + 1));
+  }
+  Engine::Options options;
+  options.update.max_overdelete = 4;
+  options.fixpoint.tc_kernel = false;
+  Engine engine(&dataset, &dict, options);
+  ASSERT_TRUE(engine.Load().ok());
+  auto cold = engine.ExecuteText(closure);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(DescribeRun(*cold, dict), fallback_steps[0].want)
+      << fallback_steps[0].name;
+  ASSERT_TRUE(
+      engine.ApplyUpdate({}, {{Node(&dict, 0), p, Node(&dict, 1)}}).ok());
+  auto after = engine.ExecuteText(closure);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(DescribeRun(*after, dict), fallback_steps[1].want)
+      << fallback_steps[1].name;
 }
 
 }  // namespace
